@@ -17,7 +17,6 @@ Exit codes: 0 success (or: the doctrine check came out as expected),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -31,16 +30,16 @@ from .entailment import (
 )
 from .environment import Environment, load_environment, translate_environment
 from .errors import QuantLogicError
-from .extreal import INF, parse_value
+from .extreal import INF, parse_value, spell_value
 from .formulas import (
     Atom,
     Context,
     Formula,
-    Quant,
     format_formula,
     free_variables,
     parse,
     translate_formula,
+    walk,
 )
 from .pmeans import ValueVector, exists_p, forall_p, kahan_sum, p_mean, p_sum
 from .semantics import (
@@ -57,13 +56,7 @@ from .stats import Distribution, hill_diversity, renyi_entropy, softmax_p
 
 def _fmt(v: float) -> str:
     """12 significant digits; infinities as bare tokens."""
-    if v == INF:
-        return "inf"
-    if v == -INF:
-        return "-inf"
-    if v == 0.0:
-        v = 0.0  # never print the sign of a negative zero
-    return "%.12g" % v
+    return spell_value(v, "%.12g")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,29 +96,18 @@ def _parse_grid(text: str) -> list[float]:
 
 def _infer_context(formula: Formula, env: Environment) -> Context:
     """Assign each free variable the space its first atom occurrence declares."""
-    free = free_variables(formula)
     found: dict[str, str] = {}
-
-    def visit(f: Formula, bound: frozenset[str]) -> None:
+    for f, bound in walk(formula):
         if isinstance(f, Atom):
             table = env.atoms.get(f.name)
             if table is None:
                 raise QuantLogicError("UNKNOWN_ATOM",
                                       f"atom {f.name!r} not in environment")
-            for pos, arg in enumerate(f.args):
-                if arg not in bound and arg not in found and pos < len(table.context):
-                    found[arg] = table.context[pos]
-        elif isinstance(f, Quant):
-            visit(f.body, bound | {f.var})
-        else:
-            for field in dataclasses.fields(f):
-                child = getattr(f, field.name)
-                if isinstance(child, Formula):
-                    visit(child, bound)
-
-    visit(formula, frozenset())
+            for arg, space_name in zip(f.args, table.context):
+                if arg not in bound and arg not in found:
+                    found[arg] = space_name
     entries = []
-    for var in free:
+    for var in free_variables(formula):
         if var not in found:
             raise QuantLogicError(
                 "CANNOT_INFER_CONTEXT",
@@ -164,8 +146,7 @@ def _cmd_eval(args) -> int:
     mode = args.mode or env.mode
     if mode != env.mode:
         env = translate_environment(env)
-        formula = translate_formula(formula,
-                                    "to_add" if mode == "add" else "to_mul")
+        formula = translate_formula(formula, f"to_{mode}")
     ctx = _infer_context(formula, env)
     pred = evaluate(formula, ctx, env)
     sep = _parse_separator(args.separator) if args.separator else None
@@ -297,8 +278,7 @@ def _cmd_doctrine(args) -> int:
 
 def _cmd_translate(args) -> int:
     formula = parse(args.formula)
-    direction = "to_add" if args.mode == "add" else "to_mul"
-    print(format_formula(translate_formula(formula, direction)))
+    print(format_formula(translate_formula(formula, f"to_{args.mode}")))
     return 0
 
 

@@ -17,11 +17,11 @@ may be any extended real; NaN is rejected everywhere.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .errors import QuantLogicError
-from .extreal import check_add, check_mul, napier, napier_inv
+from .extreal import INF_TOKENS
+from .pmeans import carrier, live
 from .spaces import Space, make_space
 
 
@@ -43,9 +43,7 @@ class Environment:
 def make_environment(mode: str, spaces: dict[str, Space],
                      atoms: dict[str, AtomTable]) -> Environment:
     """Validate and build an Environment."""
-    if mode not in ("mul", "add"):
-        raise QuantLogicError("INVALID_MODE", f"mode must be 'mul' or 'add', got {mode!r}")
-    check = check_mul if mode == "mul" else check_add
+    check = live(carrier(mode).check)
     for name, table in atoms.items():
         size = 1
         for space_name in table.context:
@@ -65,11 +63,9 @@ def make_environment(mode: str, spaces: dict[str, Space],
 
 def _decode_number(x, where: str) -> float:
     if isinstance(x, str):
-        t = x.strip()
-        if t == "inf":
-            return math.inf
-        if t == "-inf":
-            return -math.inf
+        for value, token in INF_TOKENS.items():
+            if x.strip() == token:
+                return value
         raise QuantLogicError("ENV_FORMAT", f"{where}: bad value token {x!r}")
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise QuantLogicError("ENV_FORMAT", f"{where}: expected a number, got {x!r}")
@@ -77,32 +73,35 @@ def _decode_number(x, where: str) -> float:
 
 
 def _encode_number(x: float):
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return x
+    return INF_TOKENS.get(x, x)
+
+
+def _lists(spec, what: str, keys: tuple[str, str]) -> list:
+    """spec[key] for each key, where spec is an object and each value an array."""
+    if not (isinstance(spec, dict) and all(isinstance(spec.get(k), (list, tuple)) for k in keys)):
+        raise QuantLogicError("ENV_FORMAT", f"{what} needs lists {keys[0]!r} and {keys[1]!r}")
+    return [spec[k] for k in keys]
 
 
 def environment_from_dict(doc: dict) -> Environment:
-    if not isinstance(doc, dict):
-        raise QuantLogicError("ENV_FORMAT", "environment must be a JSON object")
-    mode = doc.get("mode", "mul")
+    if not isinstance(doc, dict) or not all(
+            isinstance(doc.get(k) or {}, dict) for k in ("spaces", "atoms")):
+        raise QuantLogicError("ENV_FORMAT",
+                              "environment must be a JSON object with objects "
+                              "'spaces' and 'atoms'")
     spaces: dict[str, Space] = {}
     for name, spec in (doc.get("spaces") or {}).items():
-        if not isinstance(spec, dict) or "points" not in spec or "weights" not in spec:
-            raise QuantLogicError("ENV_FORMAT",
-                                  f"space {name!r} needs 'points' and 'weights'")
-        weights = [_decode_number(w, f"space {name!r}") for w in spec["weights"]]
-        spaces[name] = make_space(spec["points"], weights, name=name)
+        points, weights = _lists(spec, f"space {name!r}", ("points", "weights"))
+        weights = [_decode_number(w, f"space {name!r}") for w in weights]
+        spaces[name] = make_space(points, weights, name=name)
     atoms: dict[str, AtomTable] = {}
     for name, spec in (doc.get("atoms") or {}).items():
-        if not isinstance(spec, dict) or "context" not in spec or "values" not in spec:
-            raise QuantLogicError("ENV_FORMAT",
-                                  f"atom {name!r} needs 'context' and 'values'")
-        values = tuple(_decode_number(v, f"atom {name!r}") for v in spec["values"])
-        atoms[name] = AtomTable(tuple(str(s) for s in spec["context"]), values)
-    return make_environment(mode, spaces, atoms)
+        context, values = _lists(spec, f"atom {name!r}", ("context", "values"))
+        if not all(isinstance(s, str) for s in context):
+            raise QuantLogicError("ENV_FORMAT", f"atom {name!r}: context lists space names")
+        values = tuple(_decode_number(v, f"atom {name!r}") for v in values)
+        atoms[name] = AtomTable(tuple(context), values)
+    return make_environment(doc.get("mode", "mul"), spaces, atoms)
 
 
 def environment_to_dict(env: Environment) -> dict:
@@ -140,8 +139,8 @@ def save_environment(env: Environment, path: str) -> None:
 
 def translate_environment(env: Environment) -> Environment:
     """Napier-translate every atom table into the opposite carrier."""
-    conv = napier if env.mode == "mul" else napier_inv
-    new_mode = "add" if env.mode == "mul" else "mul"
+    c = carrier(env.mode)
+    conv = live(c.napier)
     atoms = {name: AtomTable(t.context, tuple(conv(v) for v in t.values))
              for name, t in env.atoms.items()}
-    return make_environment(new_mode, env.spaces, atoms)
+    return make_environment(c.other, env.spaces, atoms)

@@ -75,15 +75,22 @@ def parse_value(text: str) -> float:
     return x
 
 
+# The value syntax (formulas, environment JSON, CLI output) spells the
+# infinities as bare tokens.
+INF_TOKENS = {INF: "inf", -INF: "-inf"}
+
+
+def spell_value(x: float, pattern: str) -> str:
+    """An infinity as its token, anything else as ``pattern % x`` (-0.0 as 0.0)."""
+    token = INF_TOKENS.get(x)
+    if token is not None:
+        return token
+    return pattern % (0.0 if x == 0.0 else x)
+
+
 def format_value(x: float) -> str:
     """Render a value the way ``parse_value`` reads it."""
-    if x == INF:
-        return "inf"
-    if x == -INF:
-        return "-inf"
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return repr(x)
+    return spell_value(x, "%r")
 
 
 # --------------------------------------------------------------------------
@@ -319,14 +326,6 @@ ADD_OPS = {
     OpCode.TENSOR: add_tensor,
     OpCode.COTENSOR: add_cotensor,
 }
-
-
-def mul_binop(op: OpCode, a: MulReal, b: MulReal) -> MulReal:
-    return MUL_OPS[op](a, b)
-
-
-def add_binop(op: OpCode, a: AddReal, b: AddReal) -> AddReal:
-    return ADD_OPS[op](a, b)
 
 
 # Named constants of the formula language, per carrier.  The additive column

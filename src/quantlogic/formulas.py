@@ -25,11 +25,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from .errors import FormulaSyntaxError, QuantLogicError
-from .extreal import INF, MUL_CONSTANTS, OpCode, format_value, napier, napier_inv
-from .pmeans import Polarity
+from .extreal import INF, MUL_CONSTANTS, OpCode, format_value
+from .pmeans import ADD, MUL, Polarity, carrier, live
 from .spaces import Space
+
+T = TypeVar("T")
 
 
 # --------------------------------------------------------------------------
@@ -37,9 +40,15 @@ from .spaces import Space
 # --------------------------------------------------------------------------
 
 class Formula:
-    """Base class; all nodes are frozen dataclasses below."""
+    """Base class; all nodes are frozen dataclasses below.
+
+    ``_kids`` names a node's subformula fields, its last fields.  Every
+    traversal goes through ``walk`` and ``fold``, which keep their own stack,
+    so depth is limited by memory, not by Python's recursion limit.
+    """
 
     __slots__ = ()
+    _kids: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -60,6 +69,7 @@ class BinOp(Formula):
     op: OpCode
     lhs: Formula
     rhs: Formula
+    _kids = ("lhs", "rhs")
 
 
 @dataclass(frozen=True)
@@ -68,17 +78,20 @@ class Div(Formula):
 
     lhs: Formula
     rhs: Formula
+    _kids = ("lhs", "rhs")
 
 
 @dataclass(frozen=True)
 class Dual(Formula):
     body: Formula
+    _kids = ("body",)
 
 
 @dataclass(frozen=True)
 class Scalar(Formula):
     factor: float
     body: Formula
+    _kids = ("body",)
 
 
 @dataclass(frozen=True)
@@ -88,6 +101,63 @@ class Quant(Formula):
     var: str
     space: str
     body: Formula
+    _kids = ("body",)
+
+
+# The quantifiers around a node, outermost first: variable -> space name.
+# Sibling nodes share one dict, so treat it as read-only.
+Binders = dict[str, str]
+
+
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The direct subformulas of f, left to right."""
+    return tuple([getattr(f, name) for name in f._kids])
+
+
+def rebuild(f: Formula, kids) -> Formula:
+    """f with its direct subformulas replaced by kids (f itself if unchanged)."""
+    for name, kid in zip(f._kids, kids):
+        if getattr(f, name) is not kid:
+            head = f.__match_args__[:-len(kids)]  # the fields before the kids
+            return type(f)(*[getattr(f, field) for field in head], *kids)
+    return f
+
+
+def _preorder(f: Formula, left_first: bool) -> list[tuple[Formula, Binders]]:
+    out: list[tuple[Formula, Binders]] = []
+    stack = [(f, {})]
+    pop, push, emit = stack.pop, stack.append, out.append
+    while stack:
+        item = pop()
+        emit(item)
+        node = item[0]
+        names = node._kids
+        if names:
+            bound = item[1]
+            if isinstance(node, Quant):
+                bound = {**bound, node.var: node.space}
+            for name in reversed(names) if left_first else names:
+                push((getattr(node, name), bound))
+    return out
+
+
+def walk(f: Formula) -> list[tuple[Formula, Binders]]:
+    """Pre-order, left to right: each node with its enclosing binders."""
+    return _preorder(f, left_first=True)
+
+
+def fold(f: Formula, combine: Callable[[Formula, Binders, list], T]) -> T:
+    """Post-order, left to right: combine(node, binders, values of its children)
+    for every node; returns the value at the root."""
+    values: list = []
+    # reversed right-to-left pre-order is left-to-right post-order
+    for node, bound in reversed(_preorder(f, left_first=False)):
+        n = len(node._kids)
+        if n:
+            values[-n:] = [combine(node, bound, values[-n:])]
+        else:
+            values.append(combine(node, bound, ()))
+    return values[0]
 
 
 @dataclass(frozen=True)
@@ -103,22 +173,10 @@ class Context:
                                   f"duplicate variable in context: {names}")
 
     def names(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.entries)
-
-    def space_of(self, var: str) -> Space:
-        for v, s in self.entries:
-            if v == var:
-                return s
-        raise QuantLogicError("UNBOUND_VARIABLE", f"variable {var!r} not in context")
-
-    def extended(self, var: str, space: Space) -> "Context":
-        if any(v == var for v, _ in self.entries):
-            raise QuantLogicError("SHADOWED_VARIABLE",
-                                  f"variable {var!r} already bound")
-        return Context(self.entries + ((var, space),))
+        return tuple([v for v, _ in self.entries])
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for _, s in self.entries)
+        return tuple([len(s) for _, s in self.entries])
 
 
 # --------------------------------------------------------------------------
@@ -369,45 +427,38 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a Formula tree."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise FormulaSyntaxError("formula is nested too deeply") from None
 
 
 # --------------------------------------------------------------------------
 # printer
 # --------------------------------------------------------------------------
 
-def _print_number(x: float) -> str:
-    return "inf" if x == INF else repr(x)
-
-
-def _operand(f: Formula) -> str:
-    s = format_formula(f)
-    if isinstance(f, (Const, Atom, Dual)):
-        return s
-    return f"({s})"
-
-
 def format_formula(f: Formula) -> str:
     """Render a formula so that ``parse(format_formula(f)) == f``."""
-    if isinstance(f, Const):
-        if isinstance(f.value, str):
-            return f.value
-        return format_value(f.value)
-    if isinstance(f, Atom):
-        return f"{f.name}({', '.join(f.args)})"
-    if isinstance(f, Dual):
-        return f"{_operand(f.body)}^*"
-    if isinstance(f, BinOp):
-        return f"{_operand(f.lhs)} {OP_TOKENS[f.op]} {_operand(f.rhs)}"
-    if isinstance(f, Div):
-        return f"{_operand(f.lhs)} -o {_operand(f.rhs)}"
-    if isinstance(f, Scalar):
-        return f"{_print_number(f.factor)} . {format_formula(f.body)}"
-    if isinstance(f, Quant):
-        tag = "E" if f.polarity is Polarity.EXISTENTIAL else "A"
-        return (f"{tag}^{_print_number(f.magnitude)} "
-                f"({f.var} in {f.space}). {format_formula(f.body)}")
-    raise TypeError(f"not a formula: {f!r}")
+    def combine(node: Formula, bound: Binders, kids: list[str]) -> str:
+        if isinstance(node, Const):
+            return node.value if isinstance(node.value, str) else format_value(node.value)
+        if isinstance(node, Atom):
+            return f"{node.name}({', '.join(node.args)})"
+        if isinstance(node, Scalar):
+            return f"{format_value(node.factor)} . {kids[0]}"
+        if isinstance(node, Quant):
+            tag = "E" if node.polarity is Polarity.EXISTENTIAL else "A"
+            return (f"{tag}^{format_value(node.magnitude)} "
+                    f"({node.var} in {node.space}). {kids[0]}")
+        ops = [s if isinstance(kid, (Const, Atom, Dual)) else f"({s})"
+               for kid, s in zip(children(node), kids)]
+        if isinstance(node, Dual):
+            return f"{ops[0]}^*"
+        if isinstance(node, BinOp):
+            return f"{ops[0]} {OP_TOKENS[node.op]} {ops[1]}"
+        return f"{ops[0]} -o {ops[1]}"
+
+    return fold(f, combine)
 
 
 # --------------------------------------------------------------------------
@@ -419,105 +470,71 @@ def check_wellformed(f: Formula, ctx: Context, env) -> Formula:
 
     Returns the formula unchanged on success; raises QuantLogicError with one
     of UNBOUND_VARIABLE / SHADOWED_VARIABLE / ATOM_ARITY / UNKNOWN_SPACE /
-    UNKNOWN_ATOM / INVALID_VALUE otherwise.
+    UNKNOWN_ATOM / INVALID_VALUE otherwise, for the first offending node in
+    pre-order, left to right.
     """
-    scope = {v: s.name for v, s in ctx.entries}
-    _check(f, scope, env)
-    return f
-
-
-def _check(f: Formula, scope: dict[str, str], env) -> None:
-    if isinstance(f, Const):
-        if isinstance(f.value, float):
-            if env.mode == "mul" and f.value < 0.0:
-                raise QuantLogicError(
-                    "INVALID_VALUE",
-                    f"negative literal {f.value!r} in the multiplicative carrier")
-        return
-    if isinstance(f, Atom):
-        table = env.atoms.get(f.name)
-        if table is None:
-            raise QuantLogicError("UNKNOWN_ATOM", f"atom {f.name!r} not in environment")
-        if len(f.args) != len(table.context):
-            raise QuantLogicError(
-                "ATOM_ARITY",
-                f"atom {f.name!r} takes {len(table.context)} arguments, got {len(f.args)}")
-        for arg, space_name in zip(f.args, table.context):
-            if arg not in scope:
-                raise QuantLogicError("UNBOUND_VARIABLE",
-                                      f"variable {arg!r} is not bound")
-            if scope[arg] != space_name:
+    check = live(carrier(env.mode).check)
+    outer = {v: s.name for v, s in ctx.entries}
+    for node, bound in walk(f):
+        if isinstance(node, Const):
+            if isinstance(node.value, float):
+                check(node.value)
+        elif isinstance(node, Atom):
+            table = env.atoms.get(node.name)
+            if table is None:
+                raise QuantLogicError("UNKNOWN_ATOM",
+                                      f"atom {node.name!r} not in environment")
+            if len(node.args) != len(table.context):
                 raise QuantLogicError(
                     "ATOM_ARITY",
-                    f"atom {f.name!r} expects a {space_name!r} variable, "
-                    f"but {arg!r} ranges over {scope[arg]!r}")
-        return
-    if isinstance(f, (BinOp, Div)):
-        _check(f.lhs, scope, env)
-        _check(f.rhs, scope, env)
-        return
-    if isinstance(f, Dual):
-        _check(f.body, scope, env)
-        return
-    if isinstance(f, Scalar):
-        _check(f.body, scope, env)
-        return
-    if isinstance(f, Quant):
-        if f.space not in env.spaces:
-            raise QuantLogicError("UNKNOWN_SPACE", f"space {f.space!r} not in environment")
-        if f.var in scope:
-            raise QuantLogicError("SHADOWED_VARIABLE",
-                                  f"variable {f.var!r} is already bound")
-        inner = dict(scope)
-        inner[f.var] = f.space
-        _check(f.body, inner, env)
-        return
-    raise TypeError(f"not a formula: {f!r}")
+                    f"atom {node.name!r} takes {len(table.context)} arguments, "
+                    f"got {len(node.args)}")
+            for arg, space_name in zip(node.args, table.context):
+                scope = bound if arg in bound else outer
+                if arg not in scope:
+                    raise QuantLogicError("UNBOUND_VARIABLE",
+                                          f"variable {arg!r} is not bound")
+                if scope[arg] != space_name:
+                    raise QuantLogicError(
+                        "ATOM_ARITY",
+                        f"atom {node.name!r} expects a {space_name!r} variable, "
+                        f"but {arg!r} ranges over {scope[arg]!r}")
+        elif isinstance(node, Quant):
+            if node.space not in env.spaces:
+                raise QuantLogicError("UNKNOWN_SPACE",
+                                      f"space {node.space!r} not in environment")
+            if node.var in outer or node.var in bound:
+                raise QuantLogicError("SHADOWED_VARIABLE",
+                                      f"variable {node.var!r} is already bound")
+    return f
 
 
 def free_variables(f: Formula) -> tuple[str, ...]:
     """Free variables in order of first appearance."""
-    out: list[str] = []
-
-    def walk(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, Atom):
-            for a in g.args:
-                if a not in bound and a not in out:
-                    out.append(a)
-        elif isinstance(g, (BinOp, Div)):
-            walk(g.lhs, bound)
-            walk(g.rhs, bound)
-        elif isinstance(g, (Dual, Scalar)):
-            walk(g.body, bound)
-        elif isinstance(g, Quant):
-            walk(g.body, bound | {g.var})
-
-    walk(f, frozenset())
+    out: dict[str, None] = {}
+    for node, bound in walk(f):
+        if isinstance(node, Atom):
+            out.update((a, None) for a in node.args if a not in bound)
     return tuple(out)
 
 
 def substitute(f: Formula, mapping: dict[str, str]) -> Formula:
     """Rename free variables; target names must not collide with binders."""
-    if isinstance(f, Const):
-        return f
-    if isinstance(f, Atom):
-        return Atom(f.name, tuple(mapping.get(a, a) for a in f.args))
-    if isinstance(f, BinOp):
-        return BinOp(f.op, substitute(f.lhs, mapping), substitute(f.rhs, mapping))
-    if isinstance(f, Div):
-        return Div(substitute(f.lhs, mapping), substitute(f.rhs, mapping))
-    if isinstance(f, Dual):
-        return Dual(substitute(f.body, mapping))
-    if isinstance(f, Scalar):
-        return Scalar(f.factor, substitute(f.body, mapping))
-    if isinstance(f, Quant):
-        if f.var in mapping.values():
+    def visible(bound: Binders) -> dict[str, str]:
+        return {k: v for k, v in mapping.items() if k not in bound}
+
+    for node, bound in walk(f):
+        if isinstance(node, Quant) and node.var in visible(bound).values():
             raise QuantLogicError("CAPTURE",
-                                  f"substitution would capture {f.var!r}")
-        inner = {k: v for k, v in mapping.items() if k != f.var}
-        return Quant(f.polarity, f.magnitude, f.var, f.space,
-                     substitute(f.body, inner))
-    raise TypeError(f"not a formula: {f!r}")
+                                  f"substitution would capture {node.var!r}")
+
+    def rename(node: Formula, bound: Binders, kids: list) -> Formula:
+        if isinstance(node, Atom):
+            names = visible(bound)
+            return Atom(node.name, tuple(names.get(a, a) for a in node.args))
+        return rebuild(node, kids)
+
+    return fold(f, rename)
 
 
 def translate_formula(f: Formula, direction: str) -> Formula:
@@ -528,28 +545,15 @@ def translate_formula(f: Formula, direction: str) -> Formula:
     quantifiers carry over unchanged (their interpretations are already
     napier conjugates of each other).
     """
-    if direction not in ("to_add", "to_mul"):
+    source = {"to_add": MUL, "to_mul": ADD}.get(str(direction))
+    if source is None:
         raise QuantLogicError("INVALID_DIRECTION",
                               f"direction must be to_add or to_mul, got {direction!r}")
-    conv = napier if direction == "to_add" else napier_inv
+    conv = live(source.napier)
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Const):
-            if isinstance(g.value, float):
-                return Const(conv(g.value))
-            return g
-        if isinstance(g, Atom):
-            return g
-        if isinstance(g, BinOp):
-            return BinOp(g.op, walk(g.lhs), walk(g.rhs))
-        if isinstance(g, Div):
-            return Div(walk(g.lhs), walk(g.rhs))
-        if isinstance(g, Dual):
-            return Dual(walk(g.body))
-        if isinstance(g, Scalar):
-            return Scalar(g.factor, walk(g.body))
-        if isinstance(g, Quant):
-            return Quant(g.polarity, g.magnitude, g.var, g.space, walk(g.body))
-        raise TypeError(f"not a formula: {g!r}")
+    def convert(node: Formula, bound: Binders, kids: list) -> Formula:
+        if isinstance(node, Const) and isinstance(node.value, float):
+            return Const(conv(node.value))
+        return rebuild(node, kids) if kids else node
 
-    return walk(f)
+    return fold(f, convert)

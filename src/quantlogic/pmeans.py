@@ -19,6 +19,9 @@ De Morgan duality of the two polarities holds exactly, corner cases included.
 Points of weight 0 never contribute (the integrand is tensored with its
 weight, and tensor(0, x) == 0 even at x == inf); p-sums are the unweighted
 variant where every listed element counts with weight 1.
+
+``add_quantifier`` is the additive carrier's log-domain kernel; the ``Carrier``
+records MUL and ADD pair each kernel with its carrier's constants and operations.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import QuantLogicError
-from .extreal import INF, MulReal, check_mul, mul_dual
+from .extreal import (ADD_CONSTANTS, ADD_OPS, INF, MUL_CONSTANTS, MUL_OPS, AddReal,
+                      MulReal, OpCode, add_div, add_dual, add_scalar, check_add,
+                      check_mul, mul_div, mul_dual, mul_pow, napier, napier_inv)
 from .spaces import Space
 
 # Kernel routing: go through the log domain for large exponents, wide dynamic
@@ -198,3 +203,98 @@ def p_mean(sp: SignedP, vv: ValueVector) -> MulReal:
         raise QuantLogicError("EMPTY_SUPPORT",
                               f"space {vv.space.name!r} has empty support")
     return _aggregate(sp, pairs)
+
+
+def add_quantifier(polarity: Polarity, p: float, weights, values) -> AddReal:
+    """Aggregate additive-carrier values u_i with weights w_i > 0.
+
+    Existential: -(1/p) log sum_i w_i e^(-p u_i); universal flips both signs.
+    Magnitude inf gives essential extrema (numeric min for existential, since
+    the logical order is reversed); magnitude 0 gives the weighted arithmetic
+    sum, with mixed-infinity conflicts resolved per polarity (cotensor for
+    existential, tensor for universal).
+    """
+    pairs = [(w, u) for w, u in zip(weights, values) if w > 0.0]
+    if not pairs:
+        raise QuantLogicError("EMPTY_SUPPORT", "quantifier over empty support")
+    existential = polarity is Polarity.EXISTENTIAL
+    if p == INF:
+        us = [u for _, u in pairs]
+        return min(us) if existential else max(us)
+    if p == 0.0:
+        terms = [add_scalar(w, u) for w, u in pairs]
+        has_pos = any(t == INF for t in terms)
+        has_neg = any(t == -INF for t in terms)
+        if has_pos and has_neg:
+            return -INF if existential else INF
+        if has_pos:
+            return INF
+        if has_neg:
+            return -INF
+        return kahan_sum(terms)
+    sign = -1.0 if existential else 1.0
+    # The exponential kernel e^(sign*p*u) blows up at u = sign*inf (that end
+    # absorbs) and vanishes at u = -sign*inf (those points drop out).
+    if any(u == sign * INF for _, u in pairs):
+        return sign * INF
+    finite = [(w, u) for w, u in pairs if u != -sign * INF]
+    if not finite:
+        return -sign * INF
+    terms = [math.log(w) + sign * p * u for w, u in finite]
+    m = max(terms)
+    s = kahan_sum(math.exp(t - m) for t in terms)
+    return sign * (m + math.log(s)) / p
+
+
+# --------------------------------------------------------------------------
+# the two carriers
+# --------------------------------------------------------------------------
+
+def _mul_quantifier(polarity: Polarity, p: float, space: Space) -> Callable:
+    sp = SignedP(polarity, p)
+    return lambda values: p_mean(sp, ValueVector(space, tuple(values)))
+
+
+def _add_quantifier(polarity: Polarity, p: float, space: Space) -> Callable:
+    return lambda values: add_quantifier(polarity, p, space.weights, values)
+
+
+@dataclass(frozen=True)
+class Carrier:
+    """What each constant, connective and quantifier means in one carrier.
+
+    MUL is [0, inf]; ADD, its napier image, holds the napier conjugate of each
+    field.  Look one up with ``carrier(mode)`` where a mode string comes in.
+    Call the function fields through ``live``, so that rebinding the module
+    function (a mock, a profiler) reaches every caller.
+    """
+
+    mode: str                       # "mul" | "add"
+    other: str                      # the mode of the napier-conjugate carrier
+    constants: dict[str, float]     # the named constants of the formula language
+    ops: dict[OpCode, Callable]     # the six binary operations
+    div: Callable                   # residual of tensor
+    dual: Callable                  # the involution
+    scalar: Callable                # scalar action (k, a) -> k . a
+    quantifier: Callable            # (polarity, p, space) -> (values -> aggregate)
+    check: Callable                 # validates a value entering from outside
+    napier: Callable                # this carrier -> the other one
+
+
+MUL = Carrier("mul", "add", MUL_CONSTANTS, MUL_OPS, mul_div, mul_dual, mul_pow,
+              _mul_quantifier, check_mul, napier)
+ADD = Carrier("add", "mul", ADD_CONSTANTS, ADD_OPS, add_div, add_dual, add_scalar,
+              _add_quantifier, check_add, napier_inv)
+
+
+def carrier(mode: str) -> Carrier:
+    """The carrier named by a mode string ("mul" or "add")."""
+    for c in (MUL, ADD):
+        if c.mode == mode:
+            return c
+    raise QuantLogicError("INVALID_MODE", f"mode must be 'mul' or 'add', got {mode!r}")
+
+
+def live(fn: Callable) -> Callable:
+    """The function fn's module now binds to fn's name (fn itself unless patched)."""
+    return fn.__globals__[fn.__name__]

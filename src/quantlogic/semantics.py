@@ -1,11 +1,11 @@
 """Evaluation of formulas to predicates, and separators (truth casts).
 
 A formula in context denotes a table of carrier values, one per tuple of
-points (row-major, last variable fastest).  The two carriers get genuinely
-independent evaluators: the additive one runs its quantifiers through its own
-log-domain kernel rather than round-tripping through the multiplicative side,
-which is what makes the napier-coherence property an actual check instead of
-a tautology.
+points (row-major, last variable fastest).  One evaluator serves both
+carriers, reading each node's meaning from the carrier's record; the additive
+record has its own operations and log-domain quantifier kernel rather than
+round-tripping through the multiplicative side, which is what makes the
+napier-coherence property an actual check instead of a tautology.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 from .environment import Environment
 from .errors import QuantLogicError
-from .extreal import (ADD_CONSTANTS, ADD_OPS, INF, MUL_CONSTANTS, MUL_OPS,
-                      AddReal, MulReal, add_div, add_dual, add_scalar,
-                      mul_div, mul_dual, mul_pow, napier_inv)
-from .formulas import (Atom, BinOp, Const, Context, Div, Dual, Formula, Quant,
-                       Scalar, check_wellformed)
-from .pmeans import Polarity, SignedP, ValueVector, kahan_sum, p_mean
+from .extreal import INF, MulReal
+from .formulas import (Atom, Binders, BinOp, Context, Div, Dual, Formula, Quant,
+                       check_wellformed, fold)
+from .pmeans import MUL, add_quantifier, carrier, live  # noqa: F401 (re-export)
 
 
 @dataclass(frozen=True)
@@ -43,137 +41,68 @@ class Predicate:
 
 
 # --------------------------------------------------------------------------
-# the additive quantifier kernel
-# --------------------------------------------------------------------------
-
-def add_quantifier(polarity: Polarity, p: float, weights, values) -> AddReal:
-    """Aggregate additive-carrier values u_i with weights w_i > 0.
-
-    Existential: -(1/p) log sum_i w_i e^(-p u_i); universal flips both signs.
-    Magnitude inf gives essential extrema (numeric min for existential, since
-    the logical order is reversed); magnitude 0 gives the weighted arithmetic
-    sum, with mixed-infinity conflicts resolved per polarity (cotensor for
-    existential, tensor for universal).
-    """
-    pairs = [(w, u) for w, u in zip(weights, values) if w > 0.0]
-    if not pairs:
-        raise QuantLogicError("EMPTY_SUPPORT", "quantifier over empty support")
-    existential = polarity is Polarity.EXISTENTIAL
-    if p == INF:
-        us = [u for _, u in pairs]
-        return min(us) if existential else max(us)
-    if p == 0.0:
-        terms = [add_scalar(w, u) for w, u in pairs]
-        has_pos = any(t == INF for t in terms)
-        has_neg = any(t == -INF for t in terms)
-        if has_pos and has_neg:
-            return -INF if existential else INF
-        if has_pos:
-            return INF
-        if has_neg:
-            return -INF
-        return kahan_sum(terms)
-    sign = -1.0 if existential else 1.0
-    # The exponential kernel e^(sign*p*u) blows up at u = sign*inf (that end
-    # absorbs) and vanishes at u = -sign*inf (those points drop out).
-    if any(u == sign * INF for _, u in pairs):
-        return sign * INF
-    finite = [(w, u) for w, u in pairs if u != -sign * INF]
-    if not finite:
-        return -sign * INF
-    terms = [math.log(w) + sign * p * u for w, u in finite]
-    m = max(terms)
-    s = kahan_sum(math.exp(t - m) for t in terms)
-    return sign * (m + math.log(s)) / p
-
-
-# --------------------------------------------------------------------------
 # evaluation
 # --------------------------------------------------------------------------
 
-def _constant(value: float | str, carrier: str) -> float:
-    if isinstance(value, str):
-        return MUL_CONSTANTS[value] if carrier == "mul" else ADD_CONSTANTS[value]
-    return value
-
-
-def _atom_table(f: Atom, ctx: Context, env: Environment) -> list[float]:
-    names = ctx.names()
+def _atom_table(f: Atom, names: tuple, sizes: tuple, env: Environment) -> list[float]:
     positions = [names.index(a) for a in f.args]
     table = env.atoms[f.name]
-    sizes = [len(env.spaces[s]) for s in table.context]
+    atom_sizes = [len(env.spaces[s]) for s in table.context]
     out = []
-    for coords in itertools.product(*[range(n) for n in ctx.sizes()]):
+    for coords in itertools.product(*[range(n) for n in sizes]):
         idx = 0
         for dim, pos in enumerate(positions):
-            idx = idx * sizes[dim] + coords[pos]
+            idx = idx * atom_sizes[dim] + coords[pos]
         out.append(table.values[idx])
     return out
 
 
-def _eval(f: Formula, ctx: Context, env: Environment, carrier: str) -> list[float]:
-    size = math.prod(ctx.sizes())
-    if isinstance(f, Const):
-        return [_constant(f.value, carrier)] * size
-    if isinstance(f, Atom):
-        return _atom_table(f, ctx, env)
-    if isinstance(f, BinOp):
-        op = (MUL_OPS if carrier == "mul" else ADD_OPS)[f.op]
-        lhs = _eval(f.lhs, ctx, env, carrier)
-        rhs = _eval(f.rhs, ctx, env, carrier)
-        return [op(a, b) for a, b in zip(lhs, rhs)]
-    if isinstance(f, Div):
-        div = mul_div if carrier == "mul" else add_div
-        lhs = _eval(f.lhs, ctx, env, carrier)
-        rhs = _eval(f.rhs, ctx, env, carrier)
-        return [div(a, b) for a, b in zip(lhs, rhs)]
-    if isinstance(f, Dual):
-        dual = mul_dual if carrier == "mul" else add_dual
-        return [dual(v) for v in _eval(f.body, ctx, env, carrier)]
-    if isinstance(f, Scalar):
-        body = _eval(f.body, ctx, env, carrier)
-        if carrier == "mul":
-            return [mul_pow(f.factor, v) for v in body]
-        return [add_scalar(f.factor, v) for v in body]
-    if isinstance(f, Quant):
-        space = env.spaces[f.space]
-        inner_ctx = ctx.extended(f.var, space)
-        body = _eval(f.body, inner_ctx, env, carrier)
-        n = len(space)
-        out = []
-        for start in range(0, len(body), n):
-            chunk = body[start:start + n]
-            if carrier == "mul":
-                out.append(p_mean(SignedP(f.polarity, f.magnitude),
-                                  ValueVector(space, tuple(chunk))))
-            else:
-                out.append(add_quantifier(f.polarity, f.magnitude,
-                                          space.weights, chunk))
-        return out
-    raise TypeError(f"not a formula: {f!r}")
+def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str) -> Predicate:
+    """The table of f over ctx in one carrier, each node's built from its children's."""
+    if env.mode != mode:
+        raise QuantLogicError("CARRIER_MISMATCH",
+                              f"eval_{mode} needs an environment in {mode!r} mode")
+    check_wellformed(f, ctx, env)
+    c = carrier(mode)
+    names, sizes = ctx.names(), ctx.sizes()
+
+    def node_table(node: Formula, bound: Binders, kids: list) -> list[float]:
+        if not kids:  # a leaf: Atom or Const
+            here = sizes + tuple([len(env.spaces[s]) for s in bound.values()])
+            if isinstance(node, Atom):
+                return _atom_table(node, names + tuple(bound), here, env)
+            value = node.value
+            return [c.constants[value] if isinstance(value, str) else value] * math.prod(here)
+        if isinstance(node, BinOp):
+            return list(map(c.ops[node.op], *kids))
+        if isinstance(node, Quant):
+            space = env.spaces[node.space]
+            body, n = kids[0], len(space)
+            quantify = live(c.quantifier)(node.polarity, node.magnitude, space)
+            return [quantify(body[i:i + n]) for i in range(0, len(body), n)]
+        if isinstance(node, Div):
+            return list(map(live(c.div), *kids))
+        if isinstance(node, Dual):
+            return list(map(live(c.dual), kids[0]))
+        scalar = live(c.scalar)  # the node is a Scalar
+        return [scalar(node.factor, v) for v in kids[0]]
+
+    return Predicate(ctx, mode, tuple(fold(f, node_table)))
 
 
 def eval_mul(f: Formula, ctx: Context, env: Environment) -> Predicate:
     """Evaluate in the multiplicative carrier ([0, inf] tables)."""
-    if env.mode != "mul":
-        raise QuantLogicError("CARRIER_MISMATCH",
-                              "eval_mul needs an environment in 'mul' mode")
-    check_wellformed(f, ctx, env)
-    return Predicate(ctx, "mul", tuple(_eval(f, ctx, env, "mul")))
+    return _evaluate(f, ctx, env, "mul")
 
 
 def eval_add(f: Formula, ctx: Context, env: Environment) -> Predicate:
     """Evaluate in the additive carrier ([-inf, inf] tables, reversed order)."""
-    if env.mode != "add":
-        raise QuantLogicError("CARRIER_MISMATCH",
-                              "eval_add needs an environment in 'add' mode")
-    check_wellformed(f, ctx, env)
-    return Predicate(ctx, "add", tuple(_eval(f, ctx, env, "add")))
+    return _evaluate(f, ctx, env, "add")
 
 
 def evaluate(f: Formula, ctx: Context, env: Environment) -> Predicate:
     """Evaluate in whichever carrier the environment declares."""
-    return eval_mul(f, ctx, env) if env.mode == "mul" else eval_add(f, ctx, env)
+    return _evaluate(f, ctx, env, env.mode)
 
 
 # --------------------------------------------------------------------------
@@ -182,54 +111,50 @@ def evaluate(f: Formula, ctx: Context, env: Environment) -> Predicate:
 
 @dataclass(frozen=True)
 class Separator:
-    """A truth cast: the upward-closed, tensor-closed sets of [0, inf].
+    """A truth cast: the upward-closed, tensor-closed sets [t, inf] of [0, inf].
 
-    ``inconsistent`` is the whole carrier (everything casts to True); a
-    ``principal`` separator is [t, inf] and needs t >= 1 — thresholds in
-    (0, 1) are not closed under tensor (t*t < t) and are rejected.
+    ``threshold`` 0 is the inconsistent separator (the whole carrier, so
+    everything casts to True); otherwise it must be at least 1, because
+    [t, inf] with t in (0, 1) is not closed under tensor (t*t < t).
     """
 
-    kind: str  # "inconsistent" | "principal"
-    threshold: float = INF
+    threshold: float
 
     def __post_init__(self):
-        if self.kind not in ("inconsistent", "principal"):
+        if not (self.threshold == 0.0 or self.threshold >= 1.0):
             raise QuantLogicError("INVALID_THRESHOLD",
-                                  f"unknown separator kind {self.kind!r}")
-        if self.kind == "principal":
-            t = self.threshold
-            if math.isnan(t) or t < 1.0:
-                raise QuantLogicError(
-                    "INVALID_THRESHOLD",
-                    f"principal separators need a threshold >= 1, got {t!r}")
+                                  f"thresholds are 0 or at least 1, got {self.threshold!r}")
 
 
 def inconsistent_separator() -> Separator:
-    return Separator("inconsistent")
+    return Separator(0.0)
 
 
 def unitary_separator() -> Separator:
     """[1, inf]: everything at least as true as the tensor unit."""
-    return Separator("principal", 1.0)
+    return Separator(1.0)
 
 
 def definite_separator() -> Separator:
     """[inf, inf]: only full truth passes."""
-    return Separator("principal", INF)
+    return Separator(INF)
 
 
 def principal_separator(t: float) -> Separator:
-    return Separator("principal", float(t))
+    """[t, inf] for a threshold t >= 1."""
+    t = float(t)
+    if not t >= 1.0:
+        raise QuantLogicError("INVALID_THRESHOLD",
+                              f"principal separators need a threshold >= 1, got {t!r}")
+    return Separator(t)
 
 
 def separator_cast(s: Separator, v: MulReal) -> bool:
-    if s.kind == "inconsistent":
-        return True
     return v >= s.threshold
 
 
 def cast_predicate(s: Separator, pred: Predicate) -> tuple[bool, ...]:
     """Pointwise cast; additive tables are cast through napier_inv."""
-    if pred.carrier == "mul":
-        return tuple(separator_cast(s, v) for v in pred.table)
-    return tuple(separator_cast(s, napier_inv(v)) for v in pred.table)
+    c = carrier(pred.carrier)
+    values = pred.table if c is MUL else map(live(c.napier), pred.table)
+    return tuple(separator_cast(s, v) for v in values)

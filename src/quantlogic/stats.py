@@ -20,9 +20,9 @@ from .environment import AtomTable, make_environment
 from .errors import QuantLogicError
 from .extreal import (INF, AddReal, MulReal, check_add, check_mul, mul_div,
                       mul_dual, mul_pow_signed, napier)
-from .formulas import Atom, Context, Div, Dual, Quant
-from .pmeans import Polarity, SignedP, ValueVector, exists_p, kahan_sum, p_mean
-from .semantics import eval_add, eval_mul, separator_cast, unitary_separator
+from .formulas import Atom, Context, Div, Dual, Formula, Quant
+from .pmeans import Polarity, ValueVector, exists_p, kahan_sum, p_mean
+from .semantics import evaluate, separator_cast, unitary_separator
 from .spaces import Space
 
 _UNITARY_TOL = 1e-12
@@ -78,6 +78,16 @@ def energy_function(space: Space, energies) -> EnergyFunction:
     return EnergyFunction(space, tuple(float(u) for u in energies))
 
 
+def _universal(mode: str, space: Space, values, p: float, body: Formula,
+               free: tuple[str, ...] = ()) -> tuple[float, ...]:
+    """The table of ``A^p (x in S). body`` over the variables ``free``, all in S,
+    where the atom ``a`` over S holds the given values."""
+    env = make_environment(mode, {space.name: space},
+                           {"a": AtomTable((space.name,), tuple(values))})
+    formula = Quant(Polarity.UNIVERSAL, p, "x", space.name, body)
+    return evaluate(formula, Context(tuple((v, space) for v in free)), env).table
+
+
 def _check_p(p: float, positive: bool) -> float:
     p = float(p)
     if math.isnan(p) or p < 0.0 or (positive and p == 0.0):
@@ -114,14 +124,8 @@ def log_likelihood(u: EnergyFunction) -> tuple[AddReal, ...]:
     ``A^1 (x in X). u(x) -o u(xstar)``, which agrees with
     -log(softmax_1(e^-u)) pointwise.
     """
-    space = u.space
-    env = make_environment(
-        "add", {space.name: space},
-        {"u": AtomTable((space.name,), u.energies)})
-    formula = Quant(Polarity.UNIVERSAL, 1.0, "x", space.name,
-                    Div(Atom("u", ("x",)), Atom("u", ("xstar",))))
-    ctx = Context(((("xstar"), space),))
-    return eval_add(formula, ctx, env).table
+    return _universal("add", u.space, u.energies, 1.0,
+                      Div(Atom("a", ("x",)), Atom("a", ("xstar",))), ("xstar",))
 
 
 def _support_pairs(phi: Distribution) -> list[tuple[float, float]]:
@@ -164,13 +168,7 @@ def hill_diversity(phi: Distribution, p: float) -> MulReal:
         return math.exp(renyi_entropy(phi, 1.0))
     if p == INF:
         return mul_dual(max(m for _, m in pairs))
-    space = phi.space
-    env = make_environment(
-        "mul", {space.name: space},
-        {"phi": AtomTable((space.name,), phi.masses)})
-    formula = Quant(Polarity.UNIVERSAL, p, "i", space.name,
-                    Dual(Atom("phi", ("i",))))
-    value = eval_mul(formula, Context(), env).table[0]
+    value = _universal("mul", phi.space, phi.masses, p, Dual(Atom("a", ("x",))))[0]
     return mul_dual(mul_pow_signed(p / (1.0 - p), value))
 
 
@@ -181,14 +179,8 @@ def shannon_entropy(phi: Distribution) -> float:
 def softmax_formula_path(f: ValueVector, p: float) -> tuple[MulReal, ...]:
     """The same values through the formula evaluator — a cross-check path."""
     _check_p(p, positive=True)
-    space = f.space
-    env = make_environment(
-        "mul", {space.name: space},
-        {"f": AtomTable((space.name,), f.values)})
-    formula = Quant(Polarity.UNIVERSAL, p, "x", space.name,
-                    Div(Atom("f", ("x",)), Atom("f", ("xstar",))))
-    ctx = Context((("xstar", space),))
-    return eval_mul(formula, ctx, env).table
+    return _universal("mul", f.space, f.values, p,
+                      Div(Atom("a", ("x",)), Atom("a", ("xstar",))), ("xstar",))
 
 
 def renyi_formula_path(phi: Distribution, p: float) -> float:
@@ -201,14 +193,8 @@ def renyi_formula_path(phi: Distribution, p: float) -> float:
     p = _check_p(p, positive=True)
     if p == 1.0 or p == INF:
         raise QuantLogicError("INVALID_P", "formula path needs p outside {1, inf}")
-    space = phi.space
-    table = tuple(napier(mul_dual(m)) for m in phi.masses)
-    env = make_environment(
-        "add", {space.name: space},
-        {"logphi": AtomTable((space.name,), table)})
-    formula = Quant(Polarity.UNIVERSAL, p, "i", space.name,
-                    Atom("logphi", ("i",)))
-    value = eval_add(formula, Context(), env).table[0]
+    logphi = [napier(mul_dual(m)) for m in phi.masses]
+    value = _universal("add", phi.space, logphi, p, Atom("a", ("x",)))[0]
     k = p / (1.0 - p)
     if value in (INF, -INF):
         return -value if k < 0 else value

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -16,7 +17,7 @@ from quantlogic import (
     Scalar,
     environment_from_dict,
 )
-from quantlogic.formulas import Formula
+from quantlogic.formulas import Formula, children, rebuild, walk
 from quantlogic.pmeans import Polarity
 
 INF = math.inf
@@ -40,29 +41,23 @@ def assert_close(a: float, b: float, tol: float = 1e-9, what: str = ""):
 
 
 def formulas_close(f: Formula, g: Formula, tol: float = 1e-12) -> bool:
-    """Structural equality with tolerant numeric literals."""
-    if type(f) is not type(g):
+    """Structural equality with tolerant numeric literals.
+
+    Two trees are equal when their pre-order node sequences match node by
+    node, since each node type fixes its number of children.
+    """
+    pairs = itertools.zip_longest((n for n, _ in walk(f)), (n for n, _ in walk(g)))
+    return all(_node_close(a, b, tol) for a, b in pairs)
+
+
+def _node_close(a, b, tol: float) -> bool:
+    """a and b agree in everything but their subformulas."""
+    if type(a) is not type(b):
         return False
-    if isinstance(f, Const):
-        if isinstance(f.value, str) or isinstance(g.value, str):
-            return f.value == g.value
-        return rel_close(f.value, g.value, tol)
-    if isinstance(f, Atom):
-        return f == g
-    if isinstance(f, BinOp):
-        return (f.op == g.op and formulas_close(f.lhs, g.lhs, tol)
-                and formulas_close(f.rhs, g.rhs, tol))
-    if isinstance(f, Div):
-        return formulas_close(f.lhs, g.lhs, tol) and formulas_close(f.rhs, g.rhs, tol)
-    if isinstance(f, Dual):
-        return formulas_close(f.body, g.body, tol)
-    if isinstance(f, Scalar):
-        return f.factor == g.factor and formulas_close(f.body, g.body, tol)
-    if isinstance(f, Quant):
-        return (f.polarity == g.polarity and f.magnitude == g.magnitude
-                and f.var == g.var and f.space == g.space
-                and formulas_close(f.body, g.body, tol))
-    raise TypeError(f"unhandled node {f!r}")
+    if isinstance(a, Const) and not isinstance(a.value, str) \
+            and not isinstance(b.value, str):
+        return rel_close(a.value, b.value, tol)
+    return rebuild(a, children(b)) == b
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import quantlogic
+from quantlogic import FormulaSyntaxError, parse
 from quantlogic.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -84,6 +85,52 @@ def test_eval_mode_translation(envfile, capsys):
     assert rows[0] == "# f(x) [add]"
     assert rows[1] == "a\t" + "%.12g" % -math.log(3.0)
     assert rows[2] == "b\t0"  # -log 1, with the negative zero scrubbed
+
+
+def test_eval_separator_threshold_zero_rejected(envfile, capsys):
+    rc, _, err = run(capsys, "eval", "--env", envfile, "f(x)", "--separator", "t=0")
+    assert rc == 1
+    assert err.startswith("error[INVALID_THRESHOLD]")
+
+
+@pytest.mark.parametrize("formula", [
+    "one" + "^*" * 5000,
+    " (x) ".join(["one"] * 5000),
+], ids=["dual-chain", "tensor-chain"])
+def test_eval_deep_formula(envfile, capsys, formula):
+    rc, out, _ = run(capsys, "eval", "--env", envfile, formula)
+    assert rc == 0
+    assert out.split("\n")[1:] == ["()\t1", ""]
+
+
+def test_eval_too_deeply_nested_is_a_syntax_error(envfile, capsys):
+    text = "(" * 5000 + "one" + ")" * 5000
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse(text)
+    assert err.value.code == "SYNTAX_ERROR"
+    rc, _, err = run(capsys, "eval", "--env", envfile, text)
+    assert rc == 1
+    assert err.startswith("error[SYNTAX_ERROR]")
+
+
+ONE_POINT = {"points": ["a"], "weights": [1]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"spaces": [1]},
+    {"atoms": [1]},
+    {"spaces": {"I": {"points": 5, "weights": [1]}}},
+    {"spaces": {"I": ONE_POINT}, "atoms": {"f": {"context": ["I"], "values": 5}}},
+    {"spaces": {"I": ONE_POINT, "J": ONE_POINT},
+     "atoms": {"f": {"context": "IJ", "values": [1]}}},
+], ids=["spaces-list", "atoms-list", "points-number", "values-number",
+        "context-string"])
+def test_eval_malformed_environment(tmp_path, capsys, doc):
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "eval", "--env", str(path), "true")
+    assert rc == 1
+    assert err.startswith("error[ENV_FORMAT]")
 
 
 def test_eval_unknown_atom(envfile, capsys):

@@ -187,6 +187,24 @@ def test_wellformed_rejects(text, context, code):
     assert err.value.code == code
 
 
+@pytest.mark.parametrize("text,code", [
+    ("E^1 (x in Nope). f(y)", "UNKNOWN_SPACE"),
+    ("g(x) (x) f(y)", "UNKNOWN_ATOM"),
+    ("f(y) (x) g(x)", "UNBOUND_VARIABLE"),
+    ("E^1 (x in I). E^1 (x in I). f(z)", "SHADOWED_VARIABLE"),
+])
+def test_wellformed_reports_first_fault_in_pre_order(text, code):
+    # Each formula has two faults; the one met first in pre-order, left to
+    # right, is reported.
+    env = environment_from_dict({
+        "spaces": {"I": {"points": ["a"], "weights": [1]}},
+        "atoms": {"f": {"context": ["I"], "values": [1.0]}},
+    })
+    with pytest.raises(QuantLogicError) as err:
+        check_wellformed(parse(text), Context(()), env)
+    assert err.value.code == code
+
+
 def test_shadowing_context_variable():
     f = parse("E^1 (y in I). phi(y)")
     with pytest.raises(QuantLogicError) as err:

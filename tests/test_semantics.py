@@ -10,6 +10,7 @@ from quantlogic import (
     INF,
     Polarity,
     QuantLogicError,
+    Separator,
     add_quantifier,
     cast_predicate,
     definite_separator,
@@ -211,10 +212,15 @@ def test_coherence_exact_at_infinities(text):
 # ---------------------------------------------------------------------------
 
 def test_separator_validation():
-    for bad in (0.5, 0.999, -1.0, math.nan):
+    for bad in (0.0, 0.5, 0.999, -1.0, math.nan):
         with pytest.raises(QuantLogicError) as err:
             principal_separator(bad)
         assert err.value.code == "INVALID_THRESHOLD"
+    for bad in (0.5, -1.0, math.nan):
+        with pytest.raises(QuantLogicError) as err:
+            Separator(bad)
+        assert err.value.code == "INVALID_THRESHOLD"
+    assert Separator(0.0) == inconsistent_separator()
     assert principal_separator(1.0) == unitary_separator()
     assert principal_separator(INF) == definite_separator()
 
