@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import enum
 import math
+from fractions import Fraction
+from typing import Iterable
 
 from .errors import QuantLogicError
 
@@ -91,6 +93,33 @@ def spell_value(x: float, pattern: str) -> str:
 def format_value(x: float) -> str:
     """Render a value the way ``parse_value`` reads it."""
     return spell_value(x, "%r")
+
+
+# --------------------------------------------------------------------------
+# summation
+# --------------------------------------------------------------------------
+
+def kahan_sum(xs: Iterable[float]) -> float:
+    """The sum of xs, correctly rounded (``math.fsum``, Shewchuk's exact summation).
+
+    Finite terms never give NaN: a sum beyond the double range is the signed
+    infinity, and huge terms that cancel leave their exact finite remainder.
+    Infinite terms of one sign give that infinity; mixed-sign infinite terms
+    have no sum and raise ValueError, as in ``math.fsum``.
+    """
+    xs = list(xs)
+    try:
+        return math.fsum(xs)
+    except OverflowError:  # a partial sum left the double range
+        pass
+    infinite = [x for x in xs if math.isinf(x)]
+    if infinite:
+        return math.fsum(infinite)
+    exact = sum(map(Fraction, xs))
+    try:
+        return float(exact)
+    except OverflowError:
+        return INF if exact > 0 else -INF
 
 
 # --------------------------------------------------------------------------

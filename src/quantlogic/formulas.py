@@ -53,9 +53,16 @@ class Formula:
 
 @dataclass(frozen=True)
 class Const(Formula):
-    """A named constant (str) or a numeric literal of the ambient carrier."""
+    """A named constant (str) or a numeric literal of the ambient carrier.
+
+    A literal is stored as a float, whatever number type it was given as.
+    """
 
     value: float | str
+
+    def __post_init__(self):
+        if not isinstance(self.value, str):
+            object.__setattr__(self, "value", float(self.value))
 
 
 @dataclass(frozen=True)
@@ -477,8 +484,11 @@ def check_wellformed(f: Formula, ctx: Context, env) -> Formula:
     outer = {v: s.name for v, s in ctx.entries}
     for node, bound in walk(f):
         if isinstance(node, Const):
-            if isinstance(node.value, float):
+            if not isinstance(node.value, str):
                 check(node.value)
+        elif isinstance(node, Scalar):
+            if math.isnan(node.factor):
+                raise QuantLogicError("INVALID_VALUE", "NaN is not a scalar factor")
         elif isinstance(node, Atom):
             table = env.atoms.get(node.name)
             if table is None:
@@ -552,7 +562,7 @@ def translate_formula(f: Formula, direction: str) -> Formula:
     conv = live(source.napier)
 
     def convert(node: Formula, bound: Binders, kids: list) -> Formula:
-        if isinstance(node, Const) and isinstance(node.value, float):
+        if isinstance(node, Const) and not isinstance(node.value, str):
             return Const(conv(node.value))
         return rebuild(node, kids) if kids else node
 

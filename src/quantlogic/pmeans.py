@@ -34,7 +34,8 @@ from typing import Callable, Iterable, Sequence
 from .errors import QuantLogicError
 from .extreal import (ADD_CONSTANTS, ADD_OPS, INF, MUL_CONSTANTS, MUL_OPS, AddReal,
                       MulReal, OpCode, add_div, add_dual, add_scalar, check_add,
-                      check_mul, mul_div, mul_dual, mul_pow, napier, napier_inv)
+                      check_mul, kahan_sum, mul_div, mul_dual, mul_pow, napier,
+                      napier_inv)
 from .spaces import Space
 
 # Kernel routing: go through the log domain for large exponents, wide dynamic
@@ -91,6 +92,16 @@ class ValueVector:
         for v in self.values:
             check_mul(v)
 
+    @classmethod
+    def _trusted(cls, space: Space, values: tuple[MulReal, ...]) -> ValueVector:
+        """A vector of values the evaluator computed from checked inputs, built
+        without running ``check_mul`` on each again; only the evaluator's
+        quantifier handoff uses it."""
+        vv = object.__new__(cls)
+        object.__setattr__(vv, "space", space)
+        object.__setattr__(vv, "values", values)
+        return vv
+
     def support_pairs(self) -> list[tuple[float, MulReal]]:
         return [(w, v) for w, v in zip(self.space.weights, self.values) if w > 0.0]
 
@@ -100,21 +111,21 @@ def value_vector(space: Space, values: Iterable[float]) -> ValueVector:
 
 
 # --------------------------------------------------------------------------
-# summation kernel
+# kernels
 # --------------------------------------------------------------------------
 
-def kahan_sum(xs: Iterable[float]) -> float:
-    """Neumaier-compensated sum, in the order given."""
-    s = 0.0
-    c = 0.0
-    for x in xs:
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-    return s + c
+def _log_mean(p: float, weights: Iterable[float], xs: Iterable[float]) -> float:
+    """(1/p) log sum_i w_i e^(p x_i) for finite p > 0, w_i > 0 and finite x_i.
+
+    Factored around the largest term, in units of 1/max(p, 1) so that no term
+    overflows however large or small p and the x_i are.
+    """
+    k = max(p, 1.0)
+    q = p / k
+    v = [math.log(w) / k + q * x for w, x in zip(weights, xs)]
+    m = max(v)
+    r = math.log(kahan_sum(math.exp(k * (t - m)) for t in v))
+    return m + r / p if k == p else (m + r) / p
 
 
 def _pow_sum_root(p: float, pairs: Sequence[tuple[float, float]]) -> float:
@@ -127,19 +138,14 @@ def _pow_sum_root(p: float, pairs: Sequence[tuple[float, float]]) -> float:
               and p * abs(math.log(amin)) <= _EXP_BUDGET)
     if direct:
         s = kahan_sum(w * a ** p for w, a in pairs)
-        if s == INF:
-            return INF
-        try:
-            return s ** (1.0 / p)
-        except OverflowError:
-            return INF
-    # log domain with max factoring
-    terms = [math.log(w) + p * math.log(a) for w, a in pairs]
-    m = max(terms)
-    s = kahan_sum(math.exp(t - m) for t in terms)
-    r = (m + math.log(s)) / p
+        if s < INF:  # else a huge weight overflowed the sum: take the log route
+            try:
+                return s ** (1.0 / p)
+            except OverflowError:
+                return INF
+    weights, values = zip(*pairs)
     try:
-        return math.exp(r)
+        return math.exp(_log_mean(p, weights, map(math.log, values)))
     except OverflowError:
         return INF
 
@@ -162,9 +168,11 @@ def _geometric_disjunctive(pairs: Sequence[tuple[float, float]]) -> MulReal:
         return INF
     if any(a == 0.0 for _, a in pairs):
         return 0.0
-    s = kahan_sum(w * math.log(a) for w, a in pairs)
+    terms = [w * math.log(a) for w, a in pairs]
+    if INF in terms:  # a huge weight: the product saturates, and inf wins as above
+        return INF
     try:
-        return math.exp(s)
+        return math.exp(kahan_sum(terms))
     except OverflowError:
         return INF
 
@@ -240,10 +248,8 @@ def add_quantifier(polarity: Polarity, p: float, weights, values) -> AddReal:
     finite = [(w, u) for w, u in pairs if u != -sign * INF]
     if not finite:
         return -sign * INF
-    terms = [math.log(w) + sign * p * u for w, u in finite]
-    m = max(terms)
-    s = kahan_sum(math.exp(t - m) for t in terms)
-    return sign * (m + math.log(s)) / p
+    ws, us = zip(*finite)
+    return sign * _log_mean(p, ws, [sign * u for u in us])
 
 
 # --------------------------------------------------------------------------
@@ -252,7 +258,8 @@ def add_quantifier(polarity: Polarity, p: float, weights, values) -> AddReal:
 
 def _mul_quantifier(polarity: Polarity, p: float, space: Space) -> Callable:
     sp = SignedP(polarity, p)
-    return lambda values: p_mean(sp, ValueVector(space, tuple(values)))
+    trusted = ValueVector._trusted
+    return lambda values: p_mean(sp, trusted(space, tuple(values)))
 
 
 def _add_quantifier(polarity: Polarity, p: float, space: Space) -> Callable:

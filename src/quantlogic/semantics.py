@@ -45,15 +45,33 @@ class Predicate:
 # --------------------------------------------------------------------------
 
 def _atom_table(f: Atom, names: tuple, sizes: tuple, env: Environment) -> list[float]:
-    positions = [names.index(a) for a in f.args]
+    """f's values over the variables names (of the given sizes), row-major.
+
+    A variable steps through the atom's table by the sum of the strides of the
+    argument positions that name it (r(x, x) walks the diagonal), so the table
+    is one slice of the atom's values per row of the outer variables.
+    """
     table = env.atoms[f.name]
-    atom_sizes = [len(env.spaces[s]) for s in table.context]
-    out = []
-    for coords in itertools.product(*[range(n) for n in sizes]):
-        idx = 0
-        for dim, pos in enumerate(positions):
-            idx = idx * atom_sizes[dim] + coords[pos]
-        out.append(table.values[idx])
+    stride = dict.fromkeys(names, 0)
+    step = 1
+    for arg, space in zip(reversed(f.args), reversed(table.context)):
+        stride[arg] += step
+        step *= len(env.spaces[space])
+    values = table.values
+    if not names:
+        return [values[0]]
+    *outer, last = [(stride[v], n) for v, n in zip(names, sizes)]
+    starts = [0]
+    for s, n in outer:
+        starts = [i + s * k for i in starts for k in range(n)]
+    s, n = last
+    out: list[float] = []
+    if s:
+        for i in starts:
+            out += values[i:i + s * n:s]
+    else:
+        for i in starts:
+            out += [values[i]] * n
     return out
 
 

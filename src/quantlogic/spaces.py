@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import QuantLogicError
+from .extreal import kahan_sum
 
 # Slack for comparisons between floating-point weight sums.
 _WEIGHT_TOL = 1e-12
@@ -47,7 +48,7 @@ class Space:
 
     @property
     def total_mass(self) -> float:
-        return math.fsum(self.weights)
+        return kahan_sum(self.weights)
 
     @property
     def is_probability(self) -> bool:

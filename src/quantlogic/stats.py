@@ -141,7 +141,7 @@ def renyi_entropy(phi: Distribution, p: float) -> float:
     p = _check_p(p, positive=False)
     pairs = _support_pairs(phi)
     if p == 0.0:
-        return math.log(math.fsum(w for w, m in pairs if m > 0.0))
+        return math.log(kahan_sum(w for w, m in pairs if m > 0.0))
     if p == 1.0:
         return -kahan_sum(w * m * math.log(m) for w, m in pairs if m > 0.0)
     if p == INF:
@@ -163,7 +163,7 @@ def hill_diversity(phi: Distribution, p: float) -> MulReal:
     p = _check_p(p, positive=False)
     pairs = _support_pairs(phi)
     if p == 0.0:
-        return math.fsum(w for w, m in pairs if m > 0.0)
+        return kahan_sum(w for w, m in pairs if m > 0.0)
     if p == 1.0:
         return math.exp(renyi_entropy(phi, 1.0))
     if p == INF:

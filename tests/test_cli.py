@@ -145,6 +145,40 @@ def test_eval_uninferrable_context(envfile, capsys):
     assert err.startswith("error[CANNOT_INFER_CONTEXT]")
 
 
+BIG_WEIGHTS_DOC = {
+    "mode": "mul",
+    "spaces": {"I": {"points": ["a", "b"], "weights": [1e308, 1e308]}},
+    "atoms": {"f": {"context": ["I"], "values": [1, 2]},
+              "g": {"context": ["I"], "values": [1e300, 1e300]}},
+}
+
+
+@pytest.fixture
+def bigfile(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BIG_WEIGHTS_DOC))
+    return str(path)
+
+
+@pytest.mark.parametrize("formula, value", [
+    # sqrt(1e308 * 1 + 1e308 * 4): the sum of the weighted squares overflows,
+    # the mean does not
+    ("E^2 (x in I). f(x)", "%.12g" % (math.sqrt(5.0) * 1e154)),
+    # (2e308 * 1e150) ** 2 is beyond the double range
+    ("E^0.5 (x in I). g(x)", "inf"),
+])
+def test_eval_overflowing_weights(bigfile, capsys, formula, value):
+    rc, out, err = run(capsys, "eval", "--env", bigfile, formula)
+    assert rc == 0, err
+    assert out.split("\n")[1] == "()\t" + value
+
+
+def test_doctrine_overflowing_weights(bigfile, capsys):
+    rc, out, err = run(capsys, "doctrine", "--env", bigfile, "reflexivity", "--space", "I")
+    assert rc == 0 or (rc == 1 and err.startswith("error[")), (rc, out, err)
+    assert "nan" not in out + err and "Traceback" not in out + err
+
+
 def test_plot_data_shape_and_bounds(envfile, capsys):
     rc, out, _ = run(capsys, "plot-data", "--env", envfile, "f",
                      "--grid", "1:4:4")

@@ -1,6 +1,7 @@
 """Carrier arithmetic: operation tables, algebraic laws, and the duality."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +22,7 @@ from quantlogic import (
     check_add,
     check_mul,
     format_value,
+    kahan_sum,
     mul_add,
     mul_cotensor,
     mul_div,
@@ -362,3 +364,42 @@ def test_napier_conjugation_random(op, data):
     b = data.draw(st.floats(min_value=1e-6, max_value=1e6))
     assert close(extreal.ADD_OPS[op](napier(a), napier(b)),
                  napier(extreal.MUL_OPS[op](a, b)), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the summation kernel
+# ---------------------------------------------------------------------------
+
+# finite doubles, with the huge magnitudes whose partial sums overflow drawn often
+summands = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+                     8.98846567431158e307, 5e-324, -5e-324, 1.0)),
+)
+
+
+def exact_sum(xs):
+    """The exact sum of xs rounded to a float, or its signed infinity."""
+    total = sum(map(Fraction, xs), Fraction(0))
+    try:
+        return float(total)
+    except OverflowError:
+        return INF if total > 0 else -INF
+
+
+@given(st.lists(summands, max_size=12))
+def test_kahan_sum_is_the_exact_sum_correctly_rounded(xs):
+    got = kahan_sum(xs)
+    assert not math.isnan(got)
+    assert got == exact_sum(xs)
+
+
+def test_kahan_sum_overflow_is_signed_not_nan():
+    assert kahan_sum([1e308, 1e308]) == INF
+    assert kahan_sum([-1e308, -1e308]) == -INF
+    assert kahan_sum([1e308, 1e308, -1e308]) == 1e308  # the partials overflow
+    assert kahan_sum([1e308, 1e308, -1e308, -1e308, 5e-324]) == 5e-324
+    assert kahan_sum([INF, 1.0]) == INF
+    assert kahan_sum([1e308, 1e308, -INF]) == -INF
+    assert kahan_sum(x for x in (0.1, 0.2, 0.3)) == 0.6  # correctly rounded
+    assert kahan_sum([]) == 0.0

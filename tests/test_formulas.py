@@ -20,6 +20,7 @@ from quantlogic import (
     Scalar,
     check_wellformed,
     environment_from_dict,
+    eval_mul,
     format_formula,
     free_variables,
     make_space,
@@ -237,6 +238,23 @@ def test_translate_literals():
     assert g.lhs == f.lhs  # atoms translate via the environment, not here
     back = translate_formula(g, "to_mul")
     assert formulas_close(back, f)
+
+
+def test_numeric_literals_are_floats():
+    assert Const(2) == Const(2.0) and type(Const(2).value) is float
+    assert translate_formula(Const(2), "to_add") == Const(napier(2.0))
+    # an int literal is checked like any other: -1 is no multiplicative value
+    env = environment_from_dict({"mode": "mul", "spaces": {}, "atoms": {}})
+    with pytest.raises(QuantLogicError) as err:
+        eval_mul(Const(-1), Context(), env)
+    assert err.value.code == "INVALID_VALUE"
+
+
+def test_nan_scalar_factor_is_rejected():
+    env = environment_from_dict({"mode": "mul", "spaces": {}, "atoms": {}})
+    with pytest.raises(QuantLogicError) as err:
+        eval_mul(Scalar(math.nan, Const(2.0)), Context(), env)
+    assert err.value.code == "INVALID_VALUE"
 
 
 def test_translate_named_constants_fixed():

@@ -11,11 +11,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quantlogic import (
     INF,
+    Polarity,
     QuantLogicError,
+    SignedP,
     ValueVector,
+    add_quantifier,
+    check_mul,
     exists_p,
     forall_p,
     make_space,
@@ -331,3 +336,51 @@ def test_corner_cotensor_homogeneity_breaks_at_zero():
     assert lhs == INF
     assert rhs == 0.0                      # {inf, 0} conjunctively: 0 wins
     assert lhs != rhs
+
+
+# ---------------------------------------------------------------------------
+# huge weights: every kernel route stays total (no NaN, no raw overflow)
+# ---------------------------------------------------------------------------
+
+huge_weights = st.lists(st.one_of(st.floats(min_value=0.0, max_value=1e308),
+                                  st.sampled_from((1e308, 1.0, 0.0))),
+                        min_size=1, max_size=5).filter(lambda ws: any(w > 0.0 for w in ws))
+# the four magnitude classes: 0, inf, p >= 64 (log route) and the rest
+magnitudes = st.one_of(st.just(0.0), st.just(INF),
+                       st.floats(min_value=64.0, max_value=1e300),
+                       st.floats(min_value=5e-324, max_value=64.0, exclude_max=True))
+mul_values = st.floats(min_value=0.0, allow_nan=False)
+add_values = st.floats(allow_nan=False)
+
+
+@given(huge_weights, st.data(), magnitudes, st.sampled_from(list(Polarity)))
+def test_p_mean_never_nan_for_huge_weights(weights, data, p, polarity):
+    values = data.draw(st.lists(mul_values, min_size=len(weights), max_size=len(weights)))
+    space = make_space(range(len(weights)), weights)
+    got = p_mean(SignedP(polarity, p), value_vector(space, values))
+    assert check_mul(got) == got
+
+
+@given(huge_weights, st.data(), magnitudes, st.sampled_from(list(Polarity)))
+def test_add_quantifier_never_nan_for_huge_weights(weights, data, p, polarity):
+    values = data.draw(st.lists(add_values, min_size=len(weights), max_size=len(weights)))
+    assert not math.isnan(add_quantifier(polarity, p, weights, values))
+
+
+def test_huge_weights_keep_representable_results():
+    huge = make_space(["a", "b"], [1e308, 1e308])
+    # sqrt(1e308 * 1 + 1e308 * 4): the direct sum overflows, the mean does not
+    got = p_mean(exists_p(2), value_vector(huge, [1.0, 2.0]))
+    assert rel_close(got, math.sqrt(5.0) * 1e154, 1e-12)
+    # geometric (p = 0): a product w * log(a) beyond the double range
+    # saturates to its signed infinity, the same in both carriers
+    e = math.e
+    for values in ([e ** 2, e ** -3], [e ** 3, e ** -2], [e ** -2, e ** -3]):
+        mul = p_mean(exists_p(0), value_vector(huge, values))
+        add = add_quantifier(Polarity.EXISTENTIAL, 0.0, huge.weights,
+                             [-math.log(a) for a in values])
+        assert mul == (0.0 if max(values) < 1.0 else INF)
+        assert add == -math.log(mul) if mul > 0.0 else add == INF
+    # a large p * u no longer meets its own infinity as inf - inf
+    assert add_quantifier(Polarity.EXISTENTIAL, 2.0, (1.0,), (-1e308,)) == -1e308
+    assert rel_close(p_mean(exists_p(1e306), value_vector(huge, [10.0, 1.0])), 10.0, 1e-12)

@@ -1,11 +1,15 @@
 """Evaluator behavior on both carriers, coherence, and separators."""
 
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quantlogic import (
+    Atom,
+    AtomTable,
     Context,
     INF,
     Polarity,
@@ -19,7 +23,9 @@ from quantlogic import (
     eval_mul,
     evaluate,
     inconsistent_separator,
+    counting_space,
     kahan_sum,
+    make_environment,
     mul_tensor,
     napier,
     parse,
@@ -29,6 +35,7 @@ from quantlogic import (
     translate_formula,
     unitary_separator,
 )
+from quantlogic.semantics import _atom_table
 from helpers import assert_close, coherence_environment, random_formula
 
 
@@ -83,6 +90,53 @@ def test_tables_are_row_major():
                        Context((("k", ENV.spaces["K"]), ("x", ENV.spaces["I"]))),
                        ENV)
     assert swapped.table == (1.0, 4.0, 2.0, 5.0, 3.0, 6.0)
+
+
+def reference_atom_table(f, names, sizes, env):
+    """The gather as a walk over every tuple of the context."""
+    table = env.atoms[f.name]
+    atom_sizes = [len(env.spaces[s]) for s in table.context]
+    out = []
+    for coords in itertools.product(*[range(n) for n in sizes]):
+        at = dict(zip(names, coords))
+        idx = 0
+        for arg, n in zip(f.args, atom_sizes):
+            idx = idx * n + at[arg]
+        out.append(table.values[idx])
+    return out
+
+
+@st.composite
+def gather_cases(draw):
+    """An atom of arity 0-3 over a context of 0-3 variables of 1-4 points each;
+    its arguments repeat and come in any order, such as r(x, x) or r(y, x)."""
+    names = tuple("xyz"[:draw(st.integers(0, 3))])
+    sizes = tuple(draw(st.integers(1, 4)) for _ in names)
+    args = tuple(draw(st.lists(st.sampled_from(names), max_size=3)) if names else ())
+    spaces = {v: counting_space(n, name=v) for v, n in zip(names, sizes)}
+    # distinct values, so that any wrong index shows
+    values = tuple(float(i) for i in range(math.prod(sizes[names.index(a)] for a in args)))
+    env = make_environment("mul", spaces, {"r": AtomTable(args, values)})
+    return Atom("r", args), names, sizes, env
+
+
+@given(gather_cases())
+def test_atom_gather_matches_the_product_walk(case):
+    assert _atom_table(*case) == reference_atom_table(*case)
+
+
+def test_atom_gather_repeated_and_swapped_arguments():
+    ctx = Context((("x", ENV.spaces["I"]), ("y", ENV.spaces["I"])))
+    env = environment_from_dict({
+        "mode": "mul",
+        "spaces": {"I": {"points": ["a", "b"], "weights": [1, 1]}},
+        "atoms": {"r": {"context": ["I", "I"], "values": [1, 2, 3, 4]},
+                  "f": {"context": ["I"], "values": [5, 6]}},
+    })
+    assert eval_mul(parse("r(x, x)"), ctx, env).table == (1.0, 1.0, 4.0, 4.0)
+    assert eval_mul(parse("r(y, x)"), ctx, env).table == (1.0, 3.0, 2.0, 4.0)
+    assert eval_mul(parse("f(x)"), ctx, env).table == (5.0, 5.0, 6.0, 6.0)
+    assert eval_mul(parse("f(y)"), ctx, env).table == (5.0, 6.0, 5.0, 6.0)
 
 
 def test_connectives_are_pointwise():
