@@ -3,6 +3,8 @@ a small predicate language with multiplicative and additive semantics, and
 statistics (softmax, entropy, diversity) recovered from those quantifiers.
 """
 
+import types
+
 from .errors import FormulaSyntaxError, QuantLogicError
 from .extreal import (
     ADD_CONSTANTS,
@@ -131,4 +133,6 @@ from .entailment import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names above, without the submodules the imports bind
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -42,8 +42,9 @@ class Environment:
 
 def make_environment(mode: str, spaces: dict[str, Space],
                      atoms: dict[str, AtomTable]) -> Environment:
-    """Validate and build an Environment."""
+    """Validate and build an Environment; atom values are stored as floats."""
     check = live(carrier(mode).check)
+    checked: dict[str, AtomTable] = {}
     for name, table in atoms.items():
         size = 1
         for space_name in table.context:
@@ -56,9 +57,8 @@ def make_environment(mode: str, spaces: dict[str, Space],
             raise QuantLogicError(
                 "VALUE_COUNT",
                 f"atom {name!r}: expected {size} values, got {len(table.values)}")
-        for v in table.values:
-            check(v)
-    return Environment(mode, dict(spaces), dict(atoms))
+        checked[name] = AtomTable(table.context, tuple([check(v) for v in table.values]))
+    return Environment(mode, dict(spaces), checked)
 
 
 def _decode_number(x, where: str) -> float:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .errors import FormulaSyntaxError, QuantLogicError
 from .extreal import INF, MUL_CONSTANTS, OpCode, format_value
@@ -44,14 +44,38 @@ class Formula:
 
     ``_kids`` names a node's subformula fields, its last fields.  Every
     traversal goes through ``walk`` and ``fold``, which keep their own stack,
-    so depth is limited by memory, not by Python's recursion limit.
+    so depth is limited by memory, not by Python's recursion limit; that
+    includes ``==``, ``hash`` and ``repr``, which the nodes take from here.
     """
 
     __slots__ = ()
     _kids: tuple[str, ...] = ()
 
+    def _head(self) -> tuple[str, ...]:
+        """The names of the fields before the subformulas."""
+        return self.__match_args__[:len(self.__match_args__) - len(self._kids)]
 
-@dataclass(frozen=True)
+    def _shape(self) -> list[tuple]:
+        return [(type(node), *[getattr(node, k) for k in node._head()])
+                for node, _ in walk(self)]
+
+    def __eq__(self, other):
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return self is other or self._shape() == other._shape()
+
+    def __hash__(self):
+        return hash(tuple(self._shape()))
+
+    def __repr__(self):
+        def show(node: Formula, bound: Binders, kids: list[str]) -> str:
+            fields = [f"{k}={getattr(node, k)!r}" for k in node._head()]
+            fields += [f"{k}={s}" for k, s in zip(node._kids, kids)]
+            return f"{type(node).__qualname__}({', '.join(fields)})"
+        return fold(self, show)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Formula):
     """A named constant (str) or a numeric literal of the ambient carrier.
 
@@ -65,13 +89,13 @@ class Const(Formula):
             object.__setattr__(self, "value", float(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Formula):
     name: str
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(Formula):
     op: OpCode
     lhs: Formula
@@ -79,7 +103,7 @@ class BinOp(Formula):
     _kids = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Div(Formula):
     """lhs -o rhs: the residual of tensor (read "lhs divides rhs")."""
 
@@ -88,20 +112,20 @@ class Div(Formula):
     _kids = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Dual(Formula):
     body: Formula
     _kids = ("body",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Scalar(Formula):
     factor: float
     body: Formula
     _kids = ("body",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Quant(Formula):
     polarity: Polarity
     magnitude: float
@@ -125,8 +149,7 @@ def rebuild(f: Formula, kids) -> Formula:
     """f with its direct subformulas replaced by kids (f itself if unchanged)."""
     for name, kid in zip(f._kids, kids):
         if getattr(f, name) is not kid:
-            head = f.__match_args__[:-len(kids)]  # the fields before the kids
-            return type(f)(*[getattr(f, field) for field in head], *kids)
+            return type(f)(*[getattr(f, field) for field in f._head()], *kids)
     return f
 
 
@@ -199,14 +222,24 @@ OP_TOKENS = {
     OpCode.COTENSOR: "(x*)",
 }
 
-RESERVED = {"E", "A", "in", "inf"} | set(MUL_CONSTANTS)
+QUANTIFIERS = {"E": Polarity.EXISTENTIAL, "A": Polarity.UNIVERSAL}
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+RESERVED = set(QUANTIFIERS) | {"in", "inf"} | set(MUL_CONSTANTS)
+
+# every fixed spelling -> (token kind, token value)
+_PUNCT = {s: ("OP", op) for op, s in OP_TOKENS.items()} | {
+    s: (kind, s) for kind, s in (("LIMP", "-o"), ("DUAL", "^*"), ("CARET", "^"),
+                                 ("LPAREN", "("), ("RPAREN", ")"),
+                                 ("DOT", "."), ("COMMA", ","))}
+
+# After whitespace: a number (group 1), a name (2), a fixed spelling, longest
+# first (3), or else the one character no token starts with, "" at the end (4).
+_TOKEN_RE = re.compile(
+    r"\s*(?:(-inf|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|(%s)|(.?))"
+    % "|".join(map(re.escape, sorted(_PUNCT, key=len, reverse=True))), re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUMBER IDENT OP LIMP LPAREN RPAREN DOT COMMA CARET DUAL EOF
     value: object
     pos: int
@@ -214,86 +247,30 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "(":
-            # After an atom name, "(" always opens the argument list, so that
-            # e.g. phi(x) is an application even though "(x)" spells tensor.
-            prev = toks[-1] if toks else None
-            after_atom = (prev is not None and prev.kind == "IDENT"
-                          and prev.value not in RESERVED)
-            ops = () if after_atom else (
-                (OpCode.HADD, "(+*)"), (OpCode.ADD, "(+)"),
-                (OpCode.COTENSOR, "(x*)"), (OpCode.TENSOR, "(x)"))
-            for op, tok in ops:
-                if text.startswith(tok, i):
-                    toks.append(_Token("OP", op, i))
-                    i += len(tok)
-                    break
-            else:
-                toks.append(_Token("LPAREN", "(", i))
-                i += 1
-            continue
-        if text.startswith("\\/", i):
-            toks.append(_Token("OP", OpCode.JOIN, i))
-            i += 2
-            continue
-        if text.startswith("/\\", i):
-            toks.append(_Token("OP", OpCode.MEET, i))
-            i += 2
-            continue
-        if text.startswith("^*", i):
-            toks.append(_Token("DUAL", "^*", i))
-            i += 2
-            continue
-        if c == "^":
-            toks.append(_Token("CARET", "^", i))
-            i += 1
-            continue
-        if c == "-":
-            if text.startswith("-o", i):
-                toks.append(_Token("LIMP", "-o", i))
-                i += 2
-                continue
-            if text.startswith("-inf", i):
-                toks.append(_Token("NUMBER", -INF, i))
-                i += 4
-                continue
-            m = _NUMBER_RE.match(text, i + 1)
-            if m:
-                toks.append(_Token("NUMBER", -float(m.group()), i))
-                i = m.end()
-                continue
-            raise FormulaSyntaxError("stray '-'", i)
-        if c.isdigit():
-            m = _NUMBER_RE.match(text, i)
-            toks.append(_Token("NUMBER", float(m.group()), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            name = m.group()
-            if name == "inf":
-                toks.append(_Token("NUMBER", INF, i))
-            else:
-                toks.append(_Token("IDENT", name, i))
-            i = m.end()
-            continue
-        if c == ")":
-            toks.append(_Token("RPAREN", c, i))
-        elif c == ".":
-            toks.append(_Token("DOT", c, i))
-        elif c == ",":
-            toks.append(_Token("COMMA", c, i))
+    match, i = _TOKEN_RE.match, 0
+    while True:
+        m = match(text, i)
+        group = m.lastindex
+        pos, i = m.span(group)
+        s = m[group]
+        if group == 1:
+            toks.append(_Token("NUMBER", -INF if s == "-inf" else float(s), pos))
+        elif group == 2:
+            toks.append(_Token("NUMBER", INF, pos) if s == "inf" else _Token("IDENT", s, pos))
+        elif group == 3:
+            kind, value = _PUNCT[s]
+            if s[0] == "(" and toks and toks[-1].kind == "IDENT" \
+                    and toks[-1].value not in RESERVED:
+                # After an atom name, "(" always opens the argument list, so
+                # that e.g. phi(x) is an application although "(x)" is tensor.
+                kind, value, i = "LPAREN", "(", pos + 1
+            toks.append(_Token(kind, value, pos))
+        elif s:
+            raise FormulaSyntaxError(
+                "stray '-'" if s == "-" else f"unexpected character {s!r}", pos)
         else:
-            raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-        i += 1
-    toks.append(_Token("EOF", None, n))
-    return toks
+            toks.append(_Token("EOF", None, pos))
+            return toks
 
 
 # --------------------------------------------------------------------------
@@ -328,15 +305,14 @@ class _Parser:
 
     def formula(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.value in ("E", "A") and self.peek(1).kind == "CARET":
+        if tok.kind == "IDENT" and tok.value in QUANTIFIERS and self.peek(1).kind == "CARET":
             return self.quantifier()
         if tok.kind == "NUMBER" and self.peek(1).kind == "DOT":
             return self.scalar()
         return self.chain()
 
     def quantifier(self) -> Formula:
-        head = self.next()
-        pol = Polarity.EXISTENTIAL if head.value == "E" else Polarity.UNIVERSAL
+        pol = QUANTIFIERS[self.next().value]
         self.expect("CARET", "'^' after quantifier")
         ptok = self.expect("NUMBER", "a quantifier magnitude")
         p = float(ptok.value)
@@ -412,7 +388,7 @@ class _Parser:
             return Const(float(tok.value))
         if tok.kind == "IDENT":
             name = str(tok.value)
-            if name in ("E", "A") and self.peek().kind == "CARET":
+            if name in QUANTIFIERS and self.peek().kind == "CARET":
                 raise FormulaSyntaxError(
                     "quantifier inside an operator chain must be parenthesized",
                     tok.pos)
@@ -454,7 +430,7 @@ def format_formula(f: Formula) -> str:
         if isinstance(node, Scalar):
             return f"{format_value(node.factor)} . {kids[0]}"
         if isinstance(node, Quant):
-            tag = "E" if node.polarity is Polarity.EXISTENTIAL else "A"
+            tag = next(t for t, pol in QUANTIFIERS.items() if pol is node.polarity)
             return (f"{tag}^{format_value(node.magnitude)} "
                     f"({node.var} in {node.space}). {kids[0]}")
         ops = [s if isinstance(kid, (Const, Atom, Dual)) else f"({s})"
@@ -551,7 +527,8 @@ def translate_formula(f: Formula, direction: str) -> Formula:
     """Napier-translate a formula between the carriers.
 
     ``to_add`` sends every numeric literal through napier (-log), ``to_mul``
-    through napier_inv (1/exp); named constants, operators, scalars and
+    through napier_inv (1/exp), after checking it is a value of the source
+    carrier (else INVALID_VALUE); named constants, operators, scalars and
     quantifiers carry over unchanged (their interpretations are already
     napier conjugates of each other).
     """
@@ -559,11 +536,11 @@ def translate_formula(f: Formula, direction: str) -> Formula:
     if source is None:
         raise QuantLogicError("INVALID_DIRECTION",
                               f"direction must be to_add or to_mul, got {direction!r}")
-    conv = live(source.napier)
+    check, conv = live(source.check), live(source.napier)
 
     def convert(node: Formula, bound: Binders, kids: list) -> Formula:
         if isinstance(node, Const) and not isinstance(node.value, str):
-            return Const(conv(node.value))
+            return Const(conv(check(node.value)))
         return rebuild(node, kids) if kids else node
 
     return fold(f, convert)

@@ -62,11 +62,6 @@ class SignedP:
         if math.isnan(m) or m < 0.0:
             raise QuantLogicError("INVALID_P", f"magnitude must be in [0, inf], got {m!r}")
 
-    def __str__(self) -> str:
-        tag = "E" if self.polarity is Polarity.EXISTENTIAL else "A"
-        mag = "inf" if self.magnitude == INF else f"{self.magnitude:g}"
-        return f"{tag}^{mag}"
-
 
 def exists_p(p: float) -> SignedP:
     return SignedP(Polarity.EXISTENTIAL, float(p))

@@ -279,6 +279,18 @@ def test_translate_round_trip(capsys):
     assert float(back.strip()) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_eval_invalid_literal_in_other_mode(envfile, capsys):
+    rc, out, err = run(capsys, "eval", "--env", envfile, "--mode", "add", "f(x) (x) -2")
+    assert rc == 1 and out == ""
+    assert err.startswith("error[INVALID_VALUE]")
+
+
+def test_translate_invalid_literal(capsys):
+    rc, out, err = run(capsys, "translate", "--mode", "add", "f(x) (x) -2")
+    assert rc == 1 and out == ""
+    assert err.startswith("error[INVALID_VALUE]")
+
+
 def test_usage_errors_map_to_exit_one(envfile, capsys):
     rc, _, err = run(capsys, "eval", "true")  # --env missing
     assert rc == 1

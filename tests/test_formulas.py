@@ -29,6 +29,7 @@ from quantlogic import (
     substitute,
     translate_formula,
 )
+from quantlogic.formulas import _tokenize
 from quantlogic.pmeans import Polarity
 from helpers import coherence_environment, formulas_close, random_formula
 
@@ -100,6 +101,8 @@ def test_chains_associate_left():
     ("", "formula"),
     ("a() b()", "trailing"),
     ("?", "unexpected character"),
+    ("\u00b2", "unexpected character '\u00b2' (at position 0)"),  # isdigit, not decimal
+    ("f(x) (x) 1\u2460", "unexpected character '\u2460' (at position 10)"),
     ("-", "stray"),
 ])
 def test_syntax_errors(text, fragment):
@@ -107,6 +110,28 @@ def test_syntax_errors(text, fragment):
         parse(text)
     assert err.value.code == "SYNTAX_ERROR"
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("text,tokens", [
+    ("-info", [("NUMBER", -INF, 0), ("IDENT", "o", 4), ("EOF", None, 5)]),
+    ("phi(x)(x)psi(x)", [
+        ("IDENT", "phi", 0), ("LPAREN", "(", 3), ("IDENT", "x", 4), ("RPAREN", ")", 5),
+        ("OP", OpCode.TENSOR, 6), ("IDENT", "psi", 9), ("LPAREN", "(", 12),
+        ("IDENT", "x", 13), ("RPAREN", ")", 14), ("EOF", None, 15)]),
+    ("inf_1", [("IDENT", "inf_1", 0), ("EOF", None, 5)]),
+    ("1.5.x", [("NUMBER", 1.5, 0), ("DOT", ".", 3), ("IDENT", "x", 4), ("EOF", None, 5)]),
+    ("E(y)", [("IDENT", "E", 0), ("LPAREN", "(", 1), ("IDENT", "y", 2),
+              ("RPAREN", ")", 3), ("EOF", None, 4)]),
+    ("(x *)", ("unexpected character '*'", 3)),
+])
+def test_token_streams(text, tokens):
+    if isinstance(tokens, tuple):
+        with pytest.raises(FormulaSyntaxError) as err:
+            _tokenize(text)
+        assert tokens[0] in err.value.message
+        assert err.value.position == tokens[1]
+    else:
+        assert [(t.kind, t.value, t.pos) for t in _tokenize(text)] == tokens
 
 
 def test_syntax_error_position():
@@ -130,6 +155,26 @@ def test_format_examples():
     ]
     for text in cases:
         assert format_formula(parse(text)) == text
+
+
+def test_repr_matches_the_dataclass_form():
+    assert repr(parse("E^2 (x in I). f(x) (x) -1.5")) == (
+        "Quant(polarity=<Polarity.EXISTENTIAL: 'existential'>, magnitude=2.0, "
+        "var='x', space='I', body=BinOp(op=<OpCode.TENSOR: 'tensor'>, "
+        "lhs=Atom(name='f', args=('x',)), rhs=Const(value=-1.5)))")
+    assert repr(parse("2 . A^inf (y in K). (r(x, y) -o true)^*")) == (
+        "Scalar(factor=2.0, body=Quant(polarity=<Polarity.UNIVERSAL: 'universal'>, "
+        "magnitude=inf, var='y', space='K', body=Dual(body=Div("
+        "lhs=Atom(name='r', args=('x', 'y')), rhs=Const(value='true')))))")
+
+
+def test_deep_formula_compares_hashes_and_prints():
+    text = "one" + "^*" * 5000
+    f, g = parse(text), parse(text)
+    assert f == g and hash(f) == hash(g)
+    assert f != parse(text[:-2]) and f != parse("zero" + "^*" * 5000)
+    assert repr(f) == "Dual(body=" * 5000 + "Const(value='one')" + ")" * 5000
+    assert {f: 1}[g] == 1
 
 
 def test_print_parse_round_trip_random():
@@ -238,6 +283,15 @@ def test_translate_literals():
     assert g.lhs == f.lhs  # atoms translate via the environment, not here
     back = translate_formula(g, "to_mul")
     assert formulas_close(back, f)
+
+
+def test_translate_checks_literals_first():
+    # -2 is no multiplicative value, so it has no napier image
+    with pytest.raises(QuantLogicError) as err:
+        translate_formula(parse("f(x) (x) -2"), "to_add")
+    assert err.value.code == "INVALID_VALUE"
+    assert translate_formula(parse("f(x) (x) -2"), "to_mul") == BinOp(
+        OpCode.TENSOR, Atom("f", ("x",)), Const(math.exp(2.0)))
 
 
 def test_numeric_literals_are_floats():

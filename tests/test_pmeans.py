@@ -99,13 +99,11 @@ def test_empty_support():
     assert err.value.code == "EMPTY_SUPPORT"
 
 
-def test_signed_p_validation_and_str():
+def test_signed_p_validation():
     with pytest.raises(QuantLogicError):
         exists_p(-1.0)
     with pytest.raises(QuantLogicError):
         forall_p(float("nan"))
-    assert str(exists_p(2)) == "E^2"
-    assert str(forall_p(INF)) == "A^inf"
     assert exists_p(0) != forall_p(0)  # the two zero regimes stay distinct
 
 

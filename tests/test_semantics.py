@@ -120,6 +120,15 @@ def gather_cases(draw):
     return Atom("r", args), names, sizes, env
 
 
+def test_environment_stores_floats():
+    spaces = {"I": counting_space(["a", "b"], name="I")}
+    env = make_environment("mul", spaces, {"f": AtomTable(("I",), (1, True))})
+    cells = [v for t in env.atoms.values() for v in t.values]
+    assert cells == [1.0, 1.0] and all(type(v) is float for v in cells)
+    pred = eval_mul(parse("f(x)"), Context((("x", spaces["I"]),)), env)
+    assert pred.table == (1.0, 1.0) and all(type(v) is float for v in pred.table)
+
+
 @given(gather_cases())
 def test_atom_gather_matches_the_product_walk(case):
     assert _atom_table(*case) == reference_atom_table(*case)
