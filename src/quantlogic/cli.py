@@ -66,6 +66,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise QuantLogicError("USAGE", message)
 
+    # argparse reads a word that starts with "-" as an option unless it is a
+    # plain negative decimal; any value literal (-inf, -1e3) is an argument.
+    def _parse_optional(self, arg_string):
+        try:
+            parse_value(arg_string)
+        except QuantLogicError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _parse_separator(text: str) -> Separator:
     if text == "unitary":

@@ -69,7 +69,16 @@ def reflexivity_check(space: Space, phi, p: float = 1.0) -> EntailmentReport:
         raise QuantLogicError("INVALID_P", "reflexivity check needs p > 0")
     value = entails(space, phi, phi, p)
     mass = space.total_mass
-    expected = 1.0 if p == INF else mass ** (-1.0 / p)
+    if p == INF:
+        expected = 1.0
+    elif mass < INF:
+        try:
+            expected = mass ** (-1.0 / p)
+        except OverflowError:
+            expected = INF
+    else:  # the mass overflows but its log does not: rescale the sum by 2**-64
+        log_mass = math.log(kahan_sum(math.ldexp(w, -64) for w in space.weights))
+        expected = math.exp(-(log_mass + 64.0 * math.log(2.0)) / p)
     verdict = "holds" if _rel_close(value, expected) else "violated"
     return EntailmentReport("reflexivity", value, expected, _gap(value, expected),
                             verdict, {"total_mass": mass, "p": p})

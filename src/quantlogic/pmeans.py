@@ -15,13 +15,18 @@ over the support.
 
 Universal aggregation is *implemented* as dual . existential . dual, so the
 De Morgan duality of the two polarities holds exactly, corner cases included.
+The one exception is a log-domain value L beyond the double range: there the
+universal result is exp(-L), not the dual of the existential's inf.
 
 Points of weight 0 never contribute (the integrand is tensored with its
 weight, and tensor(0, x) == 0 even at x == inf); p-sums are the unweighted
 variant where every listed element counts with weight 1.
 
-``add_quantifier`` is the additive carrier's log-domain kernel; the ``Carrier``
-records MUL and ADD pair each kernel with its carrier's constants and operations.
+A quantifier node builds its kernel once (``Carrier.quantifier``), then maps
+the body table to the quantified table chunk by chunk, each chunk routed by
+C-level scans: absorbed by an infinity, extremum, geometric, direct sum of
+powers, or log domain.  ``p_mean``, ``p_sum`` and ``add_quantifier`` run one
+chunk through the same kernels.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, neg, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 from .errors import QuantLogicError
@@ -87,102 +95,156 @@ class ValueVector:
         for v in self.values:
             check_mul(v)
 
-    @classmethod
-    def _trusted(cls, space: Space, values: tuple[MulReal, ...]) -> ValueVector:
-        """A vector of values the evaluator computed from checked inputs, built
-        without running ``check_mul`` on each again; only the evaluator's
-        quantifier handoff uses it."""
-        vv = object.__new__(cls)
-        object.__setattr__(vv, "space", space)
-        object.__setattr__(vv, "values", values)
-        return vv
-
-    def support_pairs(self) -> list[tuple[float, MulReal]]:
-        return [(w, v) for w, v in zip(self.space.weights, self.values) if w > 0.0]
-
 
 def value_vector(space: Space, values: Iterable[float]) -> ValueVector:
     return ValueVector(space, tuple(float(v) for v in values))
 
 
 # --------------------------------------------------------------------------
-# kernels
+# node kernels: set up once per quantified table, applied chunk by chunk
 # --------------------------------------------------------------------------
 
-def _log_mean(p: float, weights: Iterable[float], xs: Iterable[float]) -> float:
-    """(1/p) log sum_i w_i e^(p x_i) for finite p > 0, w_i > 0 and finite x_i.
+def _log_mean(p: float, lws: Sequence[float], xs: Iterable[float]) -> float:
+    """(1/p) log sum_i w_i e^(p x_i) for finite p > 0, w_i > 0 and finite x_i,
+    given lws[i] = log(w_i) / max(p, 1).
 
     Factored around the largest term, in units of 1/max(p, 1) so that no term
     overflows however large or small p and the x_i are.
     """
     k = max(p, 1.0)
     q = p / k
-    v = [math.log(w) / k + q * x for w, x in zip(weights, xs)]
+    v = list(map(add, lws, xs if q == 1.0 else map(mul, repeat(q), xs)))
     m = max(v)
-    r = math.log(kahan_sum(math.exp(k * (t - m)) for t in v))
+    t = map(sub, v, repeat(m))
+    r = math.log(kahan_sum(map(math.exp, t if k == 1.0 else map(mul, repeat(k), t))))
     return m + r / p if k == p else (m + r) / p
 
 
-def _pow_sum_root(p: float, pairs: Sequence[tuple[float, float]]) -> float:
-    """(sum_i w_i * a_i**p) ** (1/p) for finite p > 0, finite positive a_i."""
-    amax = max(a for _, a in pairs)
-    amin = min(a for _, a in pairs)
-    direct = (p < _LOG_ROUTE_P
-              and amax / amin <= _LOG_ROUTE_RANGE
-              and p * abs(math.log(amax)) <= _EXP_BUDGET
-              and p * abs(math.log(amin)) <= _EXP_BUDGET)
-    if direct:
-        s = kahan_sum(w * a ** p for w, a in pairs)
-        if s < INF:  # else a huge weight overflowed the sum: take the log route
-            try:
-                return s ** (1.0 / p)
-            except OverflowError:
-                return INF
-    weights, values = zip(*pairs)
+def _weighted_sum(ws: Sequence[float], xs: Sequence[float]) -> float:
+    """sum_i w_i x_i for finite w_i and x_i.
+
+    A product beyond the double range is not taken as its signed infinity:
+    then the products are summed exactly, so that only the total decides.
+    """
+    terms = list(map(mul, ws, xs))
+    if INF not in terms and -INF not in terms:
+        return kahan_sum(terms)
+    exact = sum(map(mul, map(Fraction, ws), map(Fraction, xs)))
     try:
-        return math.exp(_log_mean(p, weights, map(math.log, values)))
+        return float(exact)
     except OverflowError:
-        return INF
+        return INF if exact > 0 else -INF
 
 
-def _existential(p: float, pairs: Sequence[tuple[float, float]]) -> MulReal:
-    """Existential aggregation over (weight, value) pairs, weights > 0."""
+def _mul_kernel(polarity: Polarity, p: float, ws: Sequence[float]) -> Callable:
+    """The multiplicative aggregate of one chunk of values over weights ws > 0.
+
+    A chunk is routed by C-level scans: absorbed by inf (or, universally, 0),
+    extremum, geometric, direct sum of powers, or log domain.  Only a chunk
+    holding a 0 (universally an inf) picks out its remaining points one by one.
+    """
+    universal = polarity is Polarity.UNIVERSAL
+    if p == INF:  # dual(max(dual)) is dual(dual(min)) bit for bit
+        return (lambda xs: mul_dual(mul_dual(min(xs)))) if universal else max
+    k = max(p, 1.0)
+    lws = [math.log(w) / k for w in ws]
+
+    def done(v: float) -> MulReal:
+        return mul_dual(v) if universal else v
+
+    def finish(log_value: float) -> MulReal:
+        try:
+            return done(math.exp(log_value))
+        except OverflowError:  # universally 1/inf is not 0 but exp(-L)
+            return math.exp(-log_value) if universal else INF
+
+    def kernel(xs):
+        if universal:  # dual . existential . dual
+            if 0.0 in xs:
+                return 0.0
+            xs = list(map(truediv, repeat(1.0), xs))
+        if INF in xs:
+            return done(INF)
+        w, lw = ws, lws
+        if 0.0 in xs:  # 0 wins the geometric mean and drops out of a p-sum
+            keep = [i for i, a in enumerate(xs) if a > 0.0]
+            if p == 0.0 or not keep:
+                return done(0.0)
+            xs, w, lw = ([s[i] for i in keep] for s in (xs, ws, lws))
+        if p == 0.0:
+            return finish(_weighted_sum(w, list(map(math.log, xs))))
+        hi, lo = max(xs), min(xs)
+        if (p < _LOG_ROUTE_P and hi / lo <= _LOG_ROUTE_RANGE
+                and p * abs(math.log(hi)) <= _EXP_BUDGET
+                and p * abs(math.log(lo)) <= _EXP_BUDGET):
+            s = kahan_sum(map(mul, w, map(pow, xs, repeat(p))))
+            if s < INF:  # else a huge weight overflowed the sum: take the log route
+                try:
+                    return done(s ** (1.0 / p))
+                except OverflowError:  # beyond the range, but its dual may not be
+                    return finish(math.log(s) / p)
+        return finish(_log_mean(p, lw, map(math.log, xs)))
+
+    return kernel
+
+
+def _add_kernel(polarity: Polarity, p: float, ws: Sequence[float]) -> Callable:
+    """The additive aggregate of one chunk of values over weights ws > 0
+    (see ``add_quantifier``)."""
+    existential = polarity is Polarity.EXISTENTIAL
     if p == INF:
-        return max(a for _, a in pairs)
-    if any(a == INF for _, a in pairs):
-        return INF
-    positive = [(w, a) for w, a in pairs if a > 0.0]
-    if not positive:
-        return 0.0
-    return _pow_sum_root(p, positive)
+        return min if existential else max
+    # The kernel e^(-top*p*u) blows up at u = top (that end absorbs) and
+    # vanishes at u = -top (those points drop out).
+    top = -INF if existential else INF
+    if p == 0.0:
+        def kernel(us):
+            if INF in us or -INF in us:
+                return top if INF in us and -INF in us else (INF if INF in us else -INF)
+            return _weighted_sum(ws, us)
+        return kernel
+    k = max(p, 1.0)
+    lws = [math.log(w) / k for w in ws]
+
+    def kernel(us):
+        if top in us:
+            return top
+        lw = lws
+        if -top in us:
+            keep = [i for i, u in enumerate(us) if u != -top]
+            if not keep:
+                return -top
+            us, lw = [us[i] for i in keep], [lws[i] for i in keep]
+        if existential:
+            return -_log_mean(p, lw, map(neg, us))
+        return _log_mean(p, lw, us)
+
+    return kernel
 
 
-def _geometric_disjunctive(pairs: Sequence[tuple[float, float]]) -> MulReal:
-    """Weighted geometric product, 0-vs-inf decided by cotensor (inf wins)."""
-    if any(a == INF for _, a in pairs):
-        return INF
-    if any(a == 0.0 for _, a in pairs):
-        return 0.0
-    terms = [w * math.log(a) for w, a in pairs]
-    if INF in terms:  # a huge weight: the product saturates, and inf wins as above
-        return INF
-    try:
-        return math.exp(kahan_sum(terms))
-    except OverflowError:
-        return INF
+def _quantifier(make_kernel: Callable, polarity: Polarity, p: float,
+                weights: Sequence[float], where: str) -> Callable:
+    """A function from a body table (len(weights) values per chunk) to its
+    quantified table (one aggregate per chunk).
 
+    Points of weight 0 never contribute, so their cells are dropped first.
+    """
+    support = [i for i, w in enumerate(weights) if w > 0.0]
+    if not support:
+        raise QuantLogicError("EMPTY_SUPPORT", f"{where} has empty support")
+    aggregate = make_kernel(polarity, p, [weights[i] for i in support])
+    n, m = len(weights), len(support)
 
-def _aggregate(sp: SignedP, pairs: Sequence[tuple[float, float]]) -> MulReal:
-    if sp.polarity is Polarity.UNIVERSAL:
-        dual_pairs = [(w, mul_dual(a)) for w, a in pairs]
-        return mul_dual(_aggregate(exists_p(sp.magnitude), dual_pairs))
-    if sp.magnitude == 0.0:
-        return _geometric_disjunctive(pairs)
-    return _existential(sp.magnitude, pairs)
+    def table(body: Sequence[float]) -> list[float]:
+        if m < n:
+            body = [body[j + i] for j in range(0, len(body), n) for i in support]
+        return [aggregate(body[j:j + m]) for j in range(0, len(body), m)]
+
+    return table
 
 
 # --------------------------------------------------------------------------
-# public operations
+# public operations: one chunk through a node kernel
 # --------------------------------------------------------------------------
 
 def p_sum(sp: SignedP, values: Sequence[float]) -> MulReal:
@@ -192,7 +254,8 @@ def p_sum(sp: SignedP, values: Sequence[float]) -> MulReal:
         raise QuantLogicError("EMPTY_LIST", "p_sum of an empty list")
     if sp.magnitude == 0.0:
         raise QuantLogicError("P_ZERO_SUM", "p-sums require magnitude > 0")
-    return _aggregate(sp, [(1.0, v) for v in vals])
+    return _quantifier(_mul_kernel, sp.polarity, sp.magnitude, [1.0] * len(vals),
+                       "p_sum")(vals)[0]
 
 
 def p_mean(sp: SignedP, vv: ValueVector) -> MulReal:
@@ -201,15 +264,11 @@ def p_mean(sp: SignedP, vv: ValueVector) -> MulReal:
     No normalization happens here: the weights are used as given, so on
     non-probability spaces this is a power *integral* rather than a mean.
     """
-    pairs = vv.support_pairs()
-    if not pairs:
-        raise QuantLogicError("EMPTY_SUPPORT",
-                              f"space {vv.space.name!r} has empty support")
-    return _aggregate(sp, pairs)
+    return _mul_quantifier(sp.polarity, sp.magnitude, vv.space)(vv.values)[0]
 
 
 def add_quantifier(polarity: Polarity, p: float, weights, values) -> AddReal:
-    """Aggregate additive-carrier values u_i with weights w_i > 0.
+    """Aggregate additive-carrier values u_i with weights w_i.
 
     Existential: -(1/p) log sum_i w_i e^(-p u_i); universal flips both signs.
     Magnitude inf gives essential extrema (numeric min for existential, since
@@ -217,34 +276,10 @@ def add_quantifier(polarity: Polarity, p: float, weights, values) -> AddReal:
     sum, with mixed-infinity conflicts resolved per polarity (cotensor for
     existential, tensor for universal).
     """
-    pairs = [(w, u) for w, u in zip(weights, values) if w > 0.0]
-    if not pairs:
-        raise QuantLogicError("EMPTY_SUPPORT", "quantifier over empty support")
-    existential = polarity is Polarity.EXISTENTIAL
-    if p == INF:
-        us = [u for _, u in pairs]
-        return min(us) if existential else max(us)
-    if p == 0.0:
-        terms = [add_scalar(w, u) for w, u in pairs]
-        has_pos = any(t == INF for t in terms)
-        has_neg = any(t == -INF for t in terms)
-        if has_pos and has_neg:
-            return -INF if existential else INF
-        if has_pos:
-            return INF
-        if has_neg:
-            return -INF
-        return kahan_sum(terms)
-    sign = -1.0 if existential else 1.0
-    # The exponential kernel e^(sign*p*u) blows up at u = sign*inf (that end
-    # absorbs) and vanishes at u = -sign*inf (those points drop out).
-    if any(u == sign * INF for _, u in pairs):
-        return sign * INF
-    finite = [(w, u) for w, u in pairs if u != -sign * INF]
-    if not finite:
-        return -sign * INF
-    ws, us = zip(*finite)
-    return sign * _log_mean(p, ws, [sign * u for u in us])
+    weights, values = list(weights), list(values)
+    if len(weights) != len(values):
+        raise QuantLogicError("VALUE_COUNT", f"{len(values)} values, {len(weights)} weights")
+    return _quantifier(_add_kernel, polarity, p, weights, "quantifier")(values)[0]
 
 
 # --------------------------------------------------------------------------
@@ -252,13 +287,11 @@ def add_quantifier(polarity: Polarity, p: float, weights, values) -> AddReal:
 # --------------------------------------------------------------------------
 
 def _mul_quantifier(polarity: Polarity, p: float, space: Space) -> Callable:
-    sp = SignedP(polarity, p)
-    trusted = ValueVector._trusted
-    return lambda values: p_mean(sp, trusted(space, tuple(values)))
+    return _quantifier(_mul_kernel, polarity, p, space.weights, f"space {space.name!r}")
 
 
 def _add_quantifier(polarity: Polarity, p: float, space: Space) -> Callable:
-    return lambda values: add_quantifier(polarity, p, space.weights, values)
+    return _quantifier(_add_kernel, polarity, p, space.weights, f"space {space.name!r}")
 
 
 @dataclass(frozen=True)
@@ -278,7 +311,7 @@ class Carrier:
     div: Callable                   # residual of tensor
     dual: Callable                  # the involution
     scalar: Callable                # scalar action (k, a) -> k . a
-    quantifier: Callable            # (polarity, p, space) -> (values -> aggregate)
+    quantifier: Callable            # (polarity, p, space) -> (body table -> quantified table)
     check: Callable                 # validates a value entering from outside
     napier: Callable                # this carrier -> the other one
 

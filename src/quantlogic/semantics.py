@@ -95,9 +95,7 @@ def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str) -> Predicat
             return list(map(c.ops[node.op], *kids))
         if isinstance(node, Quant):
             space = env.spaces[node.space]
-            body, n = kids[0], len(space)
-            quantify = live(c.quantifier)(node.polarity, node.magnitude, space)
-            return [quantify(body[i:i + n]) for i in range(0, len(body), n)]
+            return live(c.quantifier)(node.polarity, node.magnitude, space)(kids[0])
         if isinstance(node, Div):
             return list(map(live(c.div), *kids))
         if isinstance(node, Dual):

@@ -1,4 +1,5 @@
-"""Shared test utilities: tolerant comparisons and a random formula generator."""
+"""Shared test utilities: tolerant comparisons, a random formula generator and
+reference quantifier kernels."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from quantlogic import (
     Scalar,
     environment_from_dict,
 )
+from quantlogic.extreal import add_scalar, kahan_sum, mul_dual
 from quantlogic.formulas import Formula, children, rebuild, walk
 from quantlogic.pmeans import Polarity
 
@@ -135,3 +137,109 @@ def random_formula(rng: random.Random, depth: int = 4,
     pol = rng.choice((Polarity.EXISTENTIAL, Polarity.UNIVERSAL))
     return Quant(pol, rng.choice(_MAGNITUDES), var, space,
                  random_formula(rng, depth - 1, bound + ((var, space),)))
+
+
+# ---------------------------------------------------------------------------
+# reference quantifier kernels: one aggregate from (weight, value) pairs, cell
+# by cell, as the library computed it before its node kernels.  Two results
+# differ on purpose: at p = 0 a product w * x beyond the double range
+# saturates here, and a universal log-domain value beyond the range gives 0.
+# ---------------------------------------------------------------------------
+
+_REF_LOG_ROUTE_P = 64.0
+_REF_LOG_ROUTE_RANGE = 1e12
+_REF_EXP_BUDGET = 700.0
+
+
+def _ref_log_mean(p, weights, xs):
+    k = max(p, 1.0)
+    q = p / k
+    v = [math.log(w) / k + q * x for w, x in zip(weights, xs)]
+    m = max(v)
+    r = math.log(kahan_sum(math.exp(k * (t - m)) for t in v))
+    return m + r / p if k == p else (m + r) / p
+
+
+def _ref_pow_sum_root(p, pairs):
+    amax = max(a for _, a in pairs)
+    amin = min(a for _, a in pairs)
+    direct = (p < _REF_LOG_ROUTE_P
+              and amax / amin <= _REF_LOG_ROUTE_RANGE
+              and p * abs(math.log(amax)) <= _REF_EXP_BUDGET
+              and p * abs(math.log(amin)) <= _REF_EXP_BUDGET)
+    if direct:
+        s = kahan_sum(w * a ** p for w, a in pairs)
+        if s < INF:
+            try:
+                return s ** (1.0 / p)
+            except OverflowError:
+                return INF
+    weights, values = zip(*pairs)
+    try:
+        return math.exp(_ref_log_mean(p, weights, map(math.log, values)))
+    except OverflowError:
+        return INF
+
+
+def _ref_existential(p, pairs):
+    if p == INF:
+        return max(a for _, a in pairs)
+    if any(a == INF for _, a in pairs):
+        return INF
+    positive = [(w, a) for w, a in pairs if a > 0.0]
+    if not positive:
+        return 0.0
+    return _ref_pow_sum_root(p, positive)
+
+
+def _ref_geometric_disjunctive(pairs):
+    if any(a == INF for _, a in pairs):
+        return INF
+    if any(a == 0.0 for _, a in pairs):
+        return 0.0
+    terms = [w * math.log(a) for w, a in pairs]
+    if INF in terms:
+        return INF
+    try:
+        return math.exp(kahan_sum(terms))
+    except OverflowError:
+        return INF
+
+
+def ref_p_mean(polarity, p, weights, values):
+    """The multiplicative p-mean of values over the points of positive weight."""
+    pairs = [(w, v) for w, v in zip(weights, values) if w > 0.0]
+    if polarity is Polarity.UNIVERSAL:
+        dual_pairs = [(w, mul_dual(a)) for w, a in pairs]
+        return mul_dual(ref_p_mean(Polarity.EXISTENTIAL, p, *zip(*dual_pairs)))
+    if p == 0.0:
+        return _ref_geometric_disjunctive(pairs)
+    return _ref_existential(p, pairs)
+
+
+def ref_add_quantifier(polarity, p, weights, values):
+    """The additive quantifier of values over the points of positive weight."""
+    pairs = [(w, u) for w, u in zip(weights, values) if w > 0.0]
+    existential = polarity is Polarity.EXISTENTIAL
+    if p == INF:
+        us = [u for _, u in pairs]
+        return min(us) if existential else max(us)
+    if p == 0.0:
+        terms = [add_scalar(w, u) for w, u in pairs]
+        has_pos = any(t == INF for t in terms)
+        has_neg = any(t == -INF for t in terms)
+        if has_pos and has_neg:
+            return -INF if existential else INF
+        if has_pos:
+            return INF
+        if has_neg:
+            return -INF
+        return kahan_sum(terms)
+    sign = -1.0 if existential else 1.0
+    if any(u == sign * INF for _, u in pairs):
+        return sign * INF
+    finite = [(w, u) for w, u in pairs if u != -sign * INF]
+    if not finite:
+        return -sign * INF
+    ws, us = zip(*finite)
+    return sign * _ref_log_mean(p, ws, [sign * u for u in us])

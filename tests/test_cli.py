@@ -179,6 +179,21 @@ def test_doctrine_overflowing_weights(bigfile, capsys):
     assert "nan" not in out + err and "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("weights, p, line", [
+    # entails(phi, phi) is 1/(2e308) on both sides, not 1/inf = 0
+    ([1e308, 1e308], "1", "check=reflexivity lhs=5e-309 rhs=5e-309 gap=0 verdict=holds"),
+    # (2e-300) ** (-1/0.1) is beyond the double range on both sides
+    ([1e-300, 1e-300], "0.1", "check=reflexivity lhs=inf rhs=inf gap=0 verdict=holds"),
+])
+def test_doctrine_reflexivity_extreme_mass(tmp_path, capsys, weights, p, line):
+    path = tmp_path / "mass.json"
+    path.write_text(json.dumps({"mode": "mul", "atoms": {},
+                                "spaces": {"I": {"points": ["a", "b"], "weights": weights}}}))
+    rc, out, err = run(capsys, "doctrine", "--env", str(path), "reflexivity", "--p", p)
+    assert rc == 0, err
+    assert out.split("\n")[0] == line
+
+
 def test_plot_data_shape_and_bounds(envfile, capsys):
     rc, out, _ = run(capsys, "plot-data", "--env", envfile, "f",
                      "--grid", "1:4:4")
@@ -289,6 +304,34 @@ def test_translate_invalid_literal(capsys):
     rc, out, err = run(capsys, "translate", "--mode", "add", "f(x) (x) -2")
     assert rc == 1 and out == ""
     assert err.startswith("error[INVALID_VALUE]")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["eval", "--env", "ADD", "-inf"], "# -inf [add]\n()\t-inf\n"),
+    (["eval", "-1e3", "--env", "ADD"], "# -1000.0 [add]\n()\t-1000\n"),
+    (["translate", "--mode", "mul", "-0.5"], "1.6487212707001282\n"),
+])
+def test_formula_may_begin_with_minus(tmp_path, capsys, argv, out):
+    path = tmp_path / "add.json"
+    path.write_text(json.dumps({"mode": "add", "atoms": {},
+                                "spaces": {"I": {"points": ["a"], "weights": [1]}}}))
+    rc, got, err = run(capsys, *[str(path) if a == "ADD" else a for a in argv])
+    assert (rc, got, err) == (0, out, "")
+
+
+def test_consecutive_calls_share_no_state(envfile, capsys):
+    # each call sees only its own subcommand and options
+    rc, out, _ = run(capsys, "eval", "--env", envfile, "--mode", "add",
+                     "--separator", "unitary", "one")
+    assert (rc, out) == (0, "# one [add]\n()\t0\ttrue\n")
+    rc, out, _ = run(capsys, "eval", "--env", envfile, "one")
+    assert (rc, out) == (0, "# one [mul]\n()\t1\n")
+    rc, out, _ = run(capsys, "translate", "0.5", "--mode", "add")
+    assert (rc, out) == (0, repr(math.log(2.0)) + "\n")
+    rc, out, err = run(capsys, "doctrine", "--env", envfile, "reflexivity", "--space", "K")
+    assert rc == 0 and "rhs=1 " in out and "p: 1.0" in out
+    rc, _, err = run(capsys, "eval", "--env", envfile)
+    assert rc == 1 and "the following arguments are required: formula" in err
 
 
 def test_usage_errors_map_to_exit_one(envfile, capsys):

@@ -1,0 +1,210 @@
+"""The quantifier node kernels: agreement with the cell-by-cell reference
+kernels of ``helpers``, and the route each chunk takes."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quantlogic import INF, Polarity, make_space, pmeans
+from quantlogic.extreal import mul_dual
+from quantlogic.pmeans import carrier
+from helpers import ref_add_quantifier, ref_p_mean
+
+E, A = Polarity.EXISTENTIAL, Polarity.UNIVERSAL
+MAGNITUDES = (0.0, 0.5, 1.0, 2.0, 63.9, 64.0, 100.0, INF)
+MIN_NORMAL = 2.0 ** -1022
+
+weights_lists = st.lists(st.one_of(st.sampled_from((0.0, 0.5, 1.0, 1e308)),
+                                   st.floats(min_value=0.0, max_value=1e308)),
+                         min_size=1, max_size=5).filter(lambda ws: any(w > 0.0 for w in ws))
+# the corners 0, 1 and inf of each carrier, and any other value
+carrier_values = {
+    "mul": st.one_of(st.sampled_from((0.0, 1.0, INF)),
+                     st.floats(min_value=0.0, allow_nan=False)),
+    "add": st.one_of(st.sampled_from((INF, 0.0, -INF)), st.floats(allow_nan=False)),
+}
+
+
+def quantify(mode, polarity, p, weights, body):
+    space = make_space(range(len(weights)), weights)
+    return carrier(mode).quantifier(polarity, p, space)(body)
+
+
+def _exact(total: Fraction) -> float:
+    try:
+        return float(total)
+    except OverflowError:
+        return INF if total > 0 else -INF
+
+
+def _corrected(mode, polarity, p, weights, chunk, got, ref) -> bool:
+    """Whether a cell is one that the node kernels compute right on purpose
+    where the reference saturates."""
+    if mode == "mul" and polarity is A and ref == 0.0 and 0.0 < got < MIN_NORMAL:
+        return True  # a universal log-domain value L beyond the range: exp(-L), not 1/inf
+    if p != 0.0 or not math.isinf(ref) and ref != 0.0:
+        return False
+    pairs = [(w, x) for w, x in zip(weights, chunk) if w > 0.0]
+    if mode == "mul":  # the disjunctive mean of the duals, for universal
+        xs = [x if polarity is E else mul_dual(x) for _, x in pairs]
+        if 0.0 in xs or INF in xs:
+            return False
+        terms = [(w, math.log(x)) for (w, _), x in zip(pairs, xs)]
+    else:
+        infinite = {u for _, u in pairs if math.isinf(u)}
+        terms = [(w, u) for w, u in pairs if not math.isinf(u)]
+    if not any(math.isinf(w * x) for w, x in terms):
+        return False  # no product beyond the double range
+    if mode == "mul":
+        return True
+    if infinite:  # only infinite values decide, by cotensor or tensor if both
+        return got == ((-INF if polarity is E else INF) if len(infinite) == 2
+                       else infinite.pop())
+    return got == _exact(sum(Fraction(w) * Fraction(x) for w, x in terms))
+
+
+@settings(max_examples=400, deadline=None)
+@given(weights_lists, st.data(), st.sampled_from(MAGNITUDES),
+       st.sampled_from((E, A)), st.sampled_from(("mul", "add")))
+def test_node_kernel_matches_the_reference(weights, data, p, polarity, mode):
+    n = len(weights)
+    chunks = data.draw(st.integers(min_value=1, max_value=3))
+    body = data.draw(st.lists(carrier_values[mode], min_size=n * chunks,
+                              max_size=n * chunks))
+    reference = ref_p_mean if mode == "mul" else ref_add_quantifier
+    got = quantify(mode, polarity, p, weights, body)
+    assert len(got) == chunks
+    for j, cell in enumerate(got):
+        chunk = body[j * n:(j + 1) * n]
+        ref = reference(polarity, p, weights, chunk)
+        assert not math.isnan(cell)
+        if cell.hex() != ref.hex():
+            assert _corrected(mode, polarity, p, weights, chunk, cell, ref), (cell, ref)
+
+
+def test_node_kernel_matches_the_reference_at_route_boundaries():
+    # chunks on either side of the direct route's limits: the range 1e12,
+    # p = 64, and p * |log a| = 700
+    chunks = [[1.0, 1e12], [1.0, 1.0000001e12], [3.0, 2.9e12], [3.0, 3.1e12]]
+    for p in MAGNITUDES + (7.0, 63.99, 64.01):
+        if 1.0 <= p < INF:  # below p = 1 the edge is beyond the double range
+            edge = 700.0 / p
+            chunks += [[math.exp(edge * f), 2.0] for f in (0.999, 1.001, -0.999, -1.001)]
+    for mode, reference in (("mul", ref_p_mean), ("add", ref_add_quantifier)):
+        for p in MAGNITUDES + (7.0, 63.99, 64.01):
+            for polarity in (E, A):
+                for chunk in chunks:
+                    values = chunk if mode == "mul" else [-math.log(a) for a in chunk]
+                    got = quantify(mode, polarity, p, [0.5, 2.0], values)[0]
+                    assert got.hex() == reference(polarity, p, [0.5, 2.0], values).hex()
+
+
+def test_universal_mean_below_the_normal_range():
+    # (1e155 * 1) ** 2 leaves the double range, its reciprocal 1e-310 does not
+    got = quantify("mul", A, 0.5, [1e155], [1.0])[0]
+    assert 0.0 < got < MIN_NORMAL
+    add = quantify("add", A, 0.5, [1e155], [0.0])[0]
+    assert math.isclose(-math.log(got), add, rel_tol=1e-12)
+    assert quantify("mul", E, 0.5, [1e155], [1.0]) == [INF]
+
+
+def test_one_chunk_entry_points_share_the_node_kernel():
+    space = make_space(range(3), [0.5, 0.0, 2.0])
+    values = [3.0, 7.0, 0.25]
+    for p in MAGNITUDES:
+        for polarity in (E, A):
+            assert pmeans.p_mean(pmeans.SignedP(polarity, p), pmeans.value_vector(space, values)) \
+                == quantify("mul", polarity, p, space.weights, values)[0]
+            us = [-math.log(v) for v in values]
+            assert pmeans.add_quantifier(polarity, p, space.weights, us) \
+                == quantify("add", polarity, p, space.weights, us)[0]
+
+
+# ---------------------------------------------------------------------------
+# routes: which helpers each chunk calls
+# ---------------------------------------------------------------------------
+
+DIRECT = ["kahan_sum"]
+LOG = ["_log_mean", "kahan_sum"]
+GEOMETRIC = ["_weighted_sum", "kahan_sum"]
+
+
+@pytest.fixture
+def route(monkeypatch):
+    """The kernel helpers called so far, in order."""
+    calls = []
+    for name in ("kahan_sum", "_log_mean", "_weighted_sum"):
+        def spy(*args, _fn=getattr(pmeans, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(pmeans, name, spy)
+    return calls
+
+
+def test_route_direct(route):
+    assert quantify("mul", E, 2.0, [1.0, 1.0], [3.0, 4.0]) == [5.0]
+    assert quantify("mul", A, 1.0, [1.0, 1.0], [2.0, 2.0]) == [1.0]
+    assert route == DIRECT + DIRECT
+
+
+def test_route_log_domain(route):
+    # p >= 64, a range wider than 1e12, and a sum that a huge weight overflows
+    assert quantify("mul", E, 100.0, [1.0, 1.0], [1.0, 1.0]) == [2.0 ** 0.01]
+    assert route == LOG
+    route.clear()
+    assert math.isclose(quantify("mul", E, 2.0, [1.0, 1.0], [1e-10, 1e10])[0], 1e10,
+                        rel_tol=1e-15)
+    assert route == LOG
+    route.clear()
+    got = quantify("mul", A, 1.0, [1e308, 1e308], [1.0, 1.0])
+    assert route == DIRECT + LOG
+    assert 0.0 < got[0] < MIN_NORMAL  # 1/(2e308), not 1/inf
+    route.clear()
+    # the additive carrier takes the log domain at every finite p > 0
+    assert quantify("add", E, 1.0, [1.0, 1.0], [0.0, 0.0]) == [-math.log(2.0)]
+    assert quantify("add", A, 0.5, [1.0, 1.0], [0.0, 0.0]) == [2.0 * math.log(2.0)]
+    assert route == LOG + LOG
+
+
+@pytest.mark.parametrize("mode, values, expected", [
+    ("mul", [math.e ** 2, math.e ** -1], math.e),
+    ("add", [-2.0, 1.0], -1.0),
+])
+def test_route_geometric(route, mode, values, expected):
+    for polarity in (E, A):
+        got = quantify(mode, polarity, 0.0, [1.0, 1.0], values)[0]
+        assert math.isclose(got, expected, rel_tol=1e-15)
+    assert route == GEOMETRIC + GEOMETRIC
+    route.clear()
+    # products beyond the double range are summed exactly: no kahan_sum
+    assert quantify("add", E, 0.0, [1e308, 1e308], [-2.0, 3.0]) == [1e308]
+    assert route == ["_weighted_sum"]
+
+
+def test_route_extremum(route):
+    assert quantify("mul", E, INF, [1.0, 0.0, 1.0], [2.0, 9.0, 0.5]) == [2.0]
+    assert quantify("mul", A, INF, [1.0, 0.0, 1.0], [2.0, 0.1, 0.5]) == [0.5]
+    assert quantify("add", E, INF, [1.0, 1.0], [2.0, -1.0]) == [-1.0]
+    assert quantify("add", A, INF, [1.0, 1.0], [2.0, -1.0]) == [2.0]
+    assert route == []
+
+
+def test_route_absorbed_by_inf(route):
+    assert quantify("mul", E, 2.0, [1.0, 1.0], [INF, 1.0]) == [INF]
+    assert quantify("mul", E, 0.0, [1.0, 1.0], [INF, 0.0]) == [INF]  # cotensor: inf wins
+    assert quantify("mul", A, 2.0, [1.0, 1.0], [0.0, 1.0]) == [0.0]
+    assert quantify("add", E, 2.0, [1.0, 1.0], [-INF, 1.0]) == [-INF]
+    assert quantify("add", A, 2.0, [1.0, 1.0], [INF, 1.0]) == [INF]
+    assert quantify("add", E, 0.0, [1.0, 1.0], [-INF, INF]) == [-INF]
+    assert route == []
+
+
+def test_each_chunk_takes_its_own_route(route):
+    body = [3.0, 4.0,   1e-10, 1e10,   INF, 1.0,   0.0, 2.0]
+    got = quantify("mul", E, 2.0, [1.0, 1.0], body)
+    assert got[0] == 5.0 and math.isclose(got[1], 1e10, rel_tol=1e-15)
+    assert got[2:] == [INF, 2.0]
+    # direct, log domain, absorbed, direct over the one positive value
+    assert route == DIRECT + LOG + DIRECT

@@ -370,15 +370,18 @@ def test_huge_weights_keep_representable_results():
     # sqrt(1e308 * 1 + 1e308 * 4): the direct sum overflows, the mean does not
     got = p_mean(exists_p(2), value_vector(huge, [1.0, 2.0]))
     assert rel_close(got, math.sqrt(5.0) * 1e154, 1e-12)
-    # geometric (p = 0): a product w * log(a) beyond the double range
-    # saturates to its signed infinity, the same in both carriers
+    # geometric (p = 0): products w * log(a) beyond the double range are
+    # summed exactly, so the total decides: 2e308 - 3e308 = -1e308 for the
+    # first, whose mean e^-1e308 rounds to 0 while its napier image 1e308 is a
+    # double; the same in both carriers
     e = math.e
-    for values in ([e ** 2, e ** -3], [e ** 3, e ** -2], [e ** -2, e ** -3]):
+    for values, log_sum in (([e ** 2, e ** -3], -1e308), ([e ** 3, e ** -2], 1e308),
+                            ([e ** -2, e ** -3], -INF)):
         mul = p_mean(exists_p(0), value_vector(huge, values))
         add = add_quantifier(Polarity.EXISTENTIAL, 0.0, huge.weights,
                              [-math.log(a) for a in values])
-        assert mul == (0.0 if max(values) < 1.0 else INF)
-        assert add == -math.log(mul) if mul > 0.0 else add == INF
+        assert mul == (0.0 if log_sum < 0.0 else INF)
+        assert add == -log_sum
     # a large p * u no longer meets its own infinity as inf - inf
     assert add_quantifier(Polarity.EXISTENTIAL, 2.0, (1.0,), (-1e308,)) == -1e308
     assert rel_close(p_mean(exists_p(1e306), value_vector(huge, [10.0, 1.0])), 10.0, 1e-12)
