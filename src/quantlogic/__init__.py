@@ -33,7 +33,6 @@ from .extreal import (
     mul_logical_leq,
     mul_meet,
     mul_pow,
-    mul_pow_signed,
     mul_tensor,
     napier,
     napier_inv,

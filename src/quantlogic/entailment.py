@@ -76,9 +76,9 @@ def reflexivity_check(space: Space, phi, p: float = 1.0) -> EntailmentReport:
             expected = mass ** (-1.0 / p)
         except OverflowError:
             expected = INF
-    else:  # the mass overflows but its log does not: rescale the sum by 2**-64
-        log_mass = math.log(kahan_sum(math.ldexp(w, -64) for w in space.weights))
-        expected = math.exp(-(log_mass + 64.0 * math.log(2.0)) / p)
+    else:  # the mass overflows but its log does not
+        m, e = space.scaled_mass()
+        expected = math.exp(-(math.log(m) + e * math.log(2.0)) / p)
     verdict = "holds" if _rel_close(value, expected) else "violated"
     return EntailmentReport("reflexivity", value, expected, _gap(value, expected),
                             verdict, {"total_mass": mass, "p": p})

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import QuantLogicError
-from .extreal import INF_TOKENS
+from .extreal import INF, INF_TOKENS
 from .pmeans import carrier, live
 from .spaces import Space, make_space
 
@@ -69,7 +69,10 @@ def _decode_number(x, where: str) -> float:
         raise QuantLogicError("ENV_FORMAT", f"{where}: bad value token {x!r}")
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise QuantLogicError("ENV_FORMAT", f"{where}: expected a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # an integer beyond the double range, read as "1e400" is
+        return INF if x > 0 else -INF
 
 
 def _encode_number(x: float):
@@ -126,7 +129,7 @@ def load_environment(path: str) -> Environment:
             doc = json.load(fh)
     except OSError as e:
         raise QuantLogicError("ENV_IO", f"cannot read {path!r}: {e}") from None
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also bad UTF-8, huge integers, deep nesting
         raise QuantLogicError("ENV_FORMAT", f"{path!r} is not valid JSON: {e}") from None
     return environment_from_dict(doc)
 

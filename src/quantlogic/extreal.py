@@ -218,17 +218,6 @@ def mul_pow(k: MulReal, a: MulReal) -> MulReal:
         return INF
 
 
-def mul_pow_signed(k: float, a: MulReal) -> MulReal:
-    """Library-level signed scalar: negative exponents act through the dual.
-
-    The surface formula language only admits k >= 0; the entropy/diversity
-    formula paths need k = p/(1-p), which crosses 0 at p = 1.
-    """
-    if k >= 0.0:
-        return mul_pow(k, a)
-    return mul_dual(mul_pow(-k, a))
-
-
 def mul_logical_leq(a: MulReal, b: MulReal) -> bool:
     """Logical order of the multiplicative carrier (numeric order)."""
     return a <= b

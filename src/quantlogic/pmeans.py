@@ -44,7 +44,7 @@ from .extreal import (ADD_CONSTANTS, ADD_OPS, INF, MUL_CONSTANTS, MUL_OPS, AddRe
                       MulReal, OpCode, add_div, add_dual, add_scalar, check_add,
                       check_mul, kahan_sum, mul_div, mul_dual, mul_pow, napier,
                       napier_inv)
-from .spaces import Space
+from .spaces import Space, make_space
 
 # Kernel routing: go through the log domain for large exponents, wide dynamic
 # range, or whenever a**p would leave the double exponent range.
@@ -274,12 +274,16 @@ def add_quantifier(polarity: Polarity, p: float, weights, values) -> AddReal:
     Magnitude inf gives essential extrema (numeric min for existential, since
     the logical order is reversed); magnitude 0 gives the weighted arithmetic
     sum, with mixed-infinity conflicts resolved per polarity (cotensor for
-    existential, tensor for universal).
+    existential, tensor for universal).  p, the weights and the values are
+    checked as ``SignedP``, ``Space`` and ``check_add`` check them.
     """
-    weights, values = list(weights), list(values)
+    sp = SignedP(polarity, float(p))
+    weights, values = list(weights), [check_add(u) for u in values]
     if len(weights) != len(values):
         raise QuantLogicError("VALUE_COUNT", f"{len(values)} values, {len(weights)} weights")
-    return _quantifier(_add_kernel, polarity, p, weights, "quantifier")(values)[0]
+    space = make_space(range(len(weights)), weights, "quantifier")
+    return _quantifier(_add_kernel, sp.polarity, sp.magnitude, space.weights,
+                       "quantifier")(values)[0]
 
 
 # --------------------------------------------------------------------------

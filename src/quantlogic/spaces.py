@@ -50,6 +50,14 @@ class Space:
     def total_mass(self) -> float:
         return kahan_sum(self.weights)
 
+    def scaled_mass(self) -> tuple[float, int]:
+        """(m, e) with total_mass == m * 2**e and m finite: where the sum of
+        the weights overflows, e = 64 and m sums the weights scaled by 2**-64."""
+        m = self.total_mass
+        if m < math.inf:
+            return m, 0
+        return kahan_sum(math.ldexp(w, -64) for w in self.weights), 64
+
     @property
     def is_probability(self) -> bool:
         return abs(self.total_mass - 1.0) <= _WEIGHT_TOL
@@ -100,11 +108,11 @@ def product_space(a: Space, b: Space) -> Space:
 
 
 def normalize(a: Space) -> Space:
-    """Rescale weights to total mass 1."""
-    m = a.total_mass
+    """Rescale weights to total mass 1 (also where the total overflows)."""
+    m, e = a.scaled_mass()
     if m <= 0.0:
         raise QuantLogicError("ZERO_MASS", f"space {a.name!r} has zero total mass")
-    return Space(a.name, a.points, tuple(w / m for w in a.weights))
+    return Space(a.name, a.points, tuple(math.ldexp(w, -e) / m for w in a.weights))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,12 @@ Everything here is a thin specialization of the p-mean machinery:
   sharp (arg)max.
 * ``argmax``          — the unitary-separator cast of ``softmax_p(f, inf)``.
 * ``log_likelihood``  — the additive-carrier reading of softmax at p = 1.
-* ``renyi_entropy`` / ``hill_diversity`` — order-p entropy and the effective
-  number of outcomes, with the usual limits at p in {0, 1, inf}.
+* ``renyi_entropy`` / ``hill_diversity`` — order-p entropy H_p and the
+  effective number of outcomes D_p = exp(H_p), as the additive and the
+  multiplicative reading of one quantifier: ``E^(p-1)`` (``A^(1-p)`` for
+  p < 1) of phi over the *escort* weights w * phi.  Those integrate to 1, so
+  the quantifier is a true mean, continuous in p; the orders 0, 1 and inf
+  are its harmonic, geometric and extremum routes, not special cases.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ from dataclasses import dataclass
 from .environment import AtomTable, make_environment
 from .errors import QuantLogicError
 from .extreal import (INF, AddReal, MulReal, check_add, check_mul, mul_div,
-                      mul_dual, mul_pow_signed, napier)
-from .formulas import Atom, Context, Div, Dual, Formula, Quant
-from .pmeans import Polarity, ValueVector, exists_p, kahan_sum, p_mean
+                      mul_dual, napier)
+from .formulas import Atom, Context, Div, Formula, Quant
+from .pmeans import (Polarity, SignedP, ValueVector, add_quantifier, exists_p,
+                     kahan_sum, p_mean)
 from .semantics import evaluate, separator_cast, unitary_separator
 from .spaces import Space
 
@@ -128,48 +133,34 @@ def log_likelihood(u: EnergyFunction) -> tuple[AddReal, ...]:
                       Div(Atom("a", ("x",)), Atom("a", ("xstar",))), ("xstar",))
 
 
-def _support_pairs(phi: Distribution) -> list[tuple[float, float]]:
-    return [(w, m) for w, m in zip(phi.space.weights, phi.masses) if w > 0.0]
+def _escort(phi: Distribution, p: float) -> tuple[Polarity, float, tuple[float, ...]]:
+    """The quantifier that reads order p: ``E^(p-1)`` for p >= 1, ``A^(1-p)``
+    below, over the escort weights w * phi, which integrate to 1."""
+    p = _check_p(p, positive=False)
+    polarity = Polarity.EXISTENTIAL if p >= 1.0 else Polarity.UNIVERSAL
+    weights = tuple(w * m for w, m in zip(phi.space.weights, phi.masses))
+    return polarity, abs(p - 1.0), weights
 
 
 def renyi_entropy(phi: Distribution, p: float) -> float:
-    """Order-p entropy (1/(1-p)) log integral(phi^p), with limits at 0/1/inf.
+    """Order-p entropy (1/(1-p)) log integral(phi^p) = napier(M_(p-1)(phi; w * phi)),
+    the additive reading of the escort quantifier on -log(phi).
 
-    p = 1 is Shannon entropy, p = 0 log of the support mass, p = inf
+    p = 1 is Shannon entropy, p = 0 the log of the support mass, p = inf
     -log of the essential maximum.
     """
-    p = _check_p(p, positive=False)
-    pairs = _support_pairs(phi)
-    if p == 0.0:
-        return math.log(kahan_sum(w for w, m in pairs if m > 0.0))
-    if p == 1.0:
-        return -kahan_sum(w * m * math.log(m) for w, m in pairs if m > 0.0)
-    if p == INF:
-        return -math.log(max(m for _, m in pairs))
-    mean = p_mean(exists_p(p), ValueVector(phi.space, phi.masses))
-    return (p / (1.0 - p)) * math.log(mean)
+    polarity, magnitude, weights = _escort(phi, p)
+    return add_quantifier(polarity, magnitude, weights, [napier(m) for m in phi.masses])
 
 
 def hill_diversity(phi: Distribution, p: float) -> MulReal:
-    """The effective number of outcomes, exp(renyi_entropy).
-
-    Away from the limit orders this is computed multiplicatively, as the dual
-    of the scaled universal-quantifier formula
-    ``p/(1-p) . A^p (i in I). phi(i)^*`` — that formula evaluates to
-    exp(-H_p), the reciprocal effective number, so the dual recovers the
-    diversity.  At p in {0, 1, inf} the joint limit is used (plugging the
-    limit order into the scalar would collapse the formula path instead).
+    """The effective number of outcomes exp(renyi_entropy): the dual of the
+    multiplicative reading of the same escort quantifier on phi,
+    D_p = 1 / M_(p-1)(phi; w * phi) (Leinster, *Entropy and Diversity*, 2021).
     """
-    p = _check_p(p, positive=False)
-    pairs = _support_pairs(phi)
-    if p == 0.0:
-        return kahan_sum(w for w, m in pairs if m > 0.0)
-    if p == 1.0:
-        return math.exp(renyi_entropy(phi, 1.0))
-    if p == INF:
-        return mul_dual(max(m for _, m in pairs))
-    value = _universal("mul", phi.space, phi.masses, p, Dual(Atom("a", ("x",))))[0]
-    return mul_dual(mul_pow_signed(p / (1.0 - p), value))
+    polarity, magnitude, weights = _escort(phi, p)
+    escort = Space(phi.space.name, phi.space.points, weights)
+    return mul_dual(p_mean(SignedP(polarity, magnitude), ValueVector(escort, phi.masses)))
 
 
 def shannon_entropy(phi: Distribution) -> float:

@@ -179,6 +179,13 @@ def test_doctrine_overflowing_weights(bigfile, capsys):
     assert "nan" not in out + err and "Traceback" not in out + err
 
 
+def test_doctrine_adjunction_overflowing_weights(bigfile, capsys):
+    # normalizing [1e308, 1e308] gives [0.5, 0.5], not [0, 0]
+    rc, out, err = run(capsys, "doctrine", "--env", bigfile, "adjunction", "--space", "I")
+    assert rc == 0, err
+    assert out.endswith("verdict=holds\n")
+
+
 @pytest.mark.parametrize("weights, p, line", [
     # entails(phi, phi) is 1/(2e308) on both sides, not 1/inf = 0
     ([1e308, 1e308], "1", "check=reflexivity lhs=5e-309 rhs=5e-309 gap=0 verdict=holds"),
@@ -245,6 +252,22 @@ def test_entropy_uniform(envfile, capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "H=1.386294361120, D=4.000000000000"
     assert lines[1].startswith("check exp(H)=") and lines[1].endswith("gap=0")
+
+
+def test_entropy_near_order_zero(envfile, capsys):
+    rc, out, _ = run(capsys, "entropy", "--env", envfile, "phi", "--p", "0.0001")
+    assert rc == 0
+    assert out.split("\n")[0] == "H=1.386294361120, D=4.000000000000"
+
+
+def test_eval_integer_beyond_the_double_range(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    doc = {"mode": "add", "spaces": {"I": {"points": ["a", "b"], "weights": [1, 1]}},
+           "atoms": {"f": {"context": ["I"], "values": [10 ** 400, -(10 ** 400)]}}}
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "eval", "--env", str(path), "f(x)")
+    assert rc == 0, err
+    assert out.split("\n")[1:3] == ["a\tinf", "b\t-inf"]
 
 
 def test_entropy_rejects_non_unitary(envfile, capsys):

@@ -1,8 +1,10 @@
-"""Fuzzing the formula front end with texts drawn from the token alphabet."""
+"""Fuzzing the front ends: formula texts drawn from the token alphabet, and
+environment documents of every shape run through the CLI commands."""
 
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,3 +65,88 @@ def test_cli_eval_exits_0_or_1(envfile, text):
                 contextlib.redirect_stderr(io.StringIO()):
             rc = main(["eval", "--env", envfile, "--mode", mode, text])
         assert rc in (0, 1)
+
+
+# Environment documents: a well-formed document, then up to two defects
+# (NaN/inf tokens, integers beyond the double range, wrong types and shapes,
+# contexts or value counts that do not match the spaces), or raw bytes.
+BAD = st.one_of(st.floats(), st.sampled_from(
+    [-1, "-inf", " inf", "nan", "x", 10 ** 400, -(10 ** 400), True, None, [1]]))
+JUNK = st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                    max_leaves=6)
+RAW = [b"", b"{", b"nul", b"1" * 5000, b"[" * 100000, b"\xff\xfe{}"]
+DEFECTS = ("value", "weight", "context", "count", "labels", "shape", "mode")
+
+
+@st.composite
+def environment_documents(draw) -> bytes:
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(RAW) | JUNK.map(lambda d: json.dumps(d).encode()))
+    mode = draw(st.sampled_from(["mul", "add"]))
+    value = (st.floats(0.0, 4.0) if mode == "mul" else st.floats(-4.0, 4.0)) \
+        | st.sampled_from([0, "inf", 10 ** 400] + (["-inf"] if mode == "add" else []))
+    sizes = {"I": draw(st.integers(1, 3)), "K": draw(st.integers(1, 3))}
+    tidy = draw(st.booleans())  # I counts its points and phi is uniform on it
+    spaces = {name: {"points": list("abc"[:n]),
+                     "weights": [1] * n if tidy and name == "I" else draw(st.lists(
+                         st.floats(0.0, 4.0) | st.sampled_from([0, 1, 1e308]),
+                         min_size=n, max_size=n))}
+              for name, n in sizes.items()}
+    atoms = {name: {"context": context, "values": draw(st.lists(
+                 value, min_size=math.prod(sizes[c] for c in context),
+                 max_size=math.prod(sizes[c] for c in context)))}
+             for name, context in (("f", ["I"]), ("phi", ["I"]), ("r", ["I", "K"]))}
+    if tidy:
+        atoms["phi"]["values"] = [1.0 / sizes["I"]] * sizes["I"]
+    doc = {"mode": mode, "spaces": spaces, "atoms": atoms}
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=2)):
+        space = spaces[draw(st.sampled_from(sorted(spaces)))]
+        atom = atoms[draw(st.sampled_from(sorted(atoms)))]
+        if defect == "value":
+            atom["values"][draw(st.integers(0, len(atom["values"]) - 1))] = draw(BAD)
+        elif defect == "weight":
+            space["weights"][draw(st.integers(0, len(space["weights"]) - 1))] = draw(BAD)
+        elif defect == "context":
+            atom["context"] = draw(st.lists(st.sampled_from(["I", "K", "J", 3]), max_size=2))
+        elif defect == "count":
+            atom["values"] = atom["values"][1:] if draw(st.booleans()) else atom["values"] * 2
+        elif defect == "labels":
+            space["points"] = draw(st.lists(st.sampled_from(["a", 0, "0", ""]),
+                                            min_size=len(space["points"]),
+                                            max_size=len(space["points"])))
+        elif defect == "shape":
+            target = draw(st.sampled_from([doc, spaces, atoms]))
+            target[draw(st.sampled_from(sorted(target)))] = draw(JUNK)
+        else:
+            doc["mode"] = draw(JUNK)
+    return json.dumps(doc).encode()
+
+
+def env_commands(path: str, p: str) -> list[list[str]]:
+    env = ["--env", path]
+    return [
+        ["eval", *env, "E^2 (x in I). f(x)"],
+        ["eval", *env, "--mode", "add", "A^0 (y in K). r(x, y)"],
+        ["softmax", *env, "f", "--p", p],
+        ["entropy", *env, "phi", "--p", p],
+        ["plot-data", *env, "f", "--grid", "0.5:4:3"],
+        ["doctrine", *env, "reflexivity", "--space", "I", "--p", p],
+        ["doctrine", *env, "adjunction", "--space", "I", "--space2", "K",
+         "--trials", "2", "--p", p],
+        ["doctrine", *env, "transitivity-search", "--space", "I", "--trials", "3"],
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=environment_documents(),
+       p=st.sampled_from(["0", "0.5", "1", "2", "inf", "1e-300", "nan", "-1"]))
+def test_cli_on_fuzzed_environments_exits_0_1_or_2(tmp_path_factory, data, p):
+    path = tmp_path_factory.getbasetemp() / "fuzz-env.json"
+    path.write_bytes(data)
+    for argv in env_commands(str(path), p):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+        assert rc in (0, 1, 2), argv

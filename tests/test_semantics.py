@@ -210,6 +210,20 @@ def test_add_quantifier_corners():
     assert err.value.code == "EMPTY_SUPPORT"
 
 
+@pytest.mark.parametrize("p, weights, values, code", [
+    (math.nan, (1.0, 1.0), (0.0, 1.0), "INVALID_P"),
+    (-1.0, (1.0, 1.0), (0.0, 1.0), "INVALID_P"),
+    (1.0, (1.0, 1.0), (math.nan, 1.0), "INVALID_VALUE"),
+    (1.0, (INF, 1.0), (0.0, 1.0), "NONFINITE_WEIGHT"),
+    (1.0, (math.nan, 1.0), (0.0, 1.0), "NONFINITE_WEIGHT"),
+    (1.0, (-1.0, 1.0), (0.0, 1.0), "NEGATIVE_WEIGHT"),
+])
+def test_add_quantifier_validates_its_inputs(p, weights, values, code):
+    with pytest.raises(QuantLogicError) as err:
+        add_quantifier(Polarity.EXISTENTIAL, p, weights, values)
+    assert err.value.code == code
+
+
 def test_add_quantifier_large_magnitude_is_stable():
     got = add_quantifier(Polarity.EXISTENTIAL, 4096.0, (1.0, 1.0), (700.0, -700.0))
     assert math.isfinite(got)

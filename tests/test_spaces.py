@@ -4,6 +4,7 @@ import random
 import pytest
 
 from quantlogic import (
+    INF,
     PointMap,
     QuantLogicError,
     compose,
@@ -82,6 +83,13 @@ def test_normalize():
     with pytest.raises(QuantLogicError) as err:
         normalize(make_space(["a"], [0.0]))
     assert err.value.code == "ZERO_MASS"
+
+
+def test_normalize_overflowing_mass():
+    big = make_space(["a", "b"], [1e308, 1e308])
+    assert big.total_mass == INF
+    assert normalize(big).weights == (0.5, 0.5)
+    assert normalize(make_space(["a", "b", "c"], [1e308, 1e308, 0.0])).weights == (0.5, 0.5, 0.0)
 
 
 def test_pushforward_measure():

@@ -187,6 +187,20 @@ def test_entropy_near_one_approaches_shannon():
         assert abs(renyi_entropy(phi, p) - shannon) < 1e-3
 
 
+@pytest.mark.parametrize("space, masses", [
+    (counting_space(2), (0.5, 0.5)),
+    (make_space(["a", "b", "c"], [4, 4, 4]), (1 / 12,) * 3),
+])
+def test_uniform_entropy_off_probability_spaces(space, masses):
+    # the escort weights w * phi integrate to 1 whatever the total weight is,
+    # so no order overflows on the way to log(total) and total
+    phi = distribution(space, masses)
+    total = space.total_mass
+    for p in (1e-6, 1e-4, 1e-3, 0.5, 2.0, 1e3):
+        assert_close(renyi_entropy(phi, p), math.log(total), 1e-12)
+        assert_close(hill_diversity(phi, p), total, 1e-12)
+
+
 def test_hill_is_exp_entropy():
     rng = random.Random(35)
     for _ in range(30):
