@@ -30,7 +30,7 @@ from .entailment import (
 )
 from .environment import Environment, load_environment, translate_environment
 from .errors import QuantLogicError
-from .extreal import INF, parse_value, spell_value
+from .extreal import napier_inv, parse_value, spell_value
 from .formulas import (
     Atom,
     Context,
@@ -199,10 +199,7 @@ def _cmd_softmax(args) -> int:
     out = softmax_p(vec, args.p)
     for label, value in zip(vec.space.points, out):
         print(f"{label}\t{_fmt(value)}")
-    integral = kahan_sum([w * s for w, s in zip(vec.space.weights, out)
-                          if w > 0.0 and s != INF])
-    if any(w > 0.0 and s == INF for w, s in zip(vec.space.weights, out)):
-        integral = INF
+    integral = kahan_sum(w * s for w, s in zip(vec.space.weights, out) if w > 0.0)
     print(f"integral={_fmt(integral)}")
     return 0
 
@@ -214,10 +211,7 @@ def _cmd_entropy(args) -> int:
     h = renyi_entropy(phi, args.p)
     d = hill_diversity(phi, args.p)
     print(f"H={h:.12f}, D={d:.12f}")
-    try:
-        exp_h = math.exp(h)
-    except OverflowError:
-        exp_h = INF
+    exp_h = napier_inv(-h)
     gap = 0.0 if exp_h == d else abs(exp_h - d)
     print(f"check exp(H)={_fmt(exp_h)} D={_fmt(d)} gap={_fmt(gap)}")
     return 0
@@ -261,13 +255,8 @@ def _cmd_doctrine(args) -> int:
         print(f"check=adjunction trials={args.trials} max|gap|={_fmt(worst)} "
               f"verdict={'holds' if ok else 'violated'}")
     elif args.check == "transitivity-search":
-        if args.space is not None:
-            space = env.spaces.get(args.space)
-            if space is None:
-                raise QuantLogicError("UNKNOWN_SPACE",
-                                      f"space {args.space!r} not in environment")
-        else:
-            space = canned_transitivity_witness()[0]
+        space = _pick_space(env, args.space) if args.space is not None \
+            else canned_transitivity_witness()[0]
         report = transitivity_search(space, args.p, args.trials, args.seed)
         _print_report(report)
         ok = report.verdict == "violated"

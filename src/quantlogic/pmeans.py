@@ -15,8 +15,10 @@ over the support.
 
 Universal aggregation is *implemented* as dual . existential . dual, so the
 De Morgan duality of the two polarities holds exactly, corner cases included.
-The one exception is a log-domain value L beyond the double range: there the
-universal result is exp(-L), not the dual of the existential's inf.
+The exceptions are the two ends of the double range: a log-domain value L
+beyond it gives the universal result exp(-L), not the dual of the
+existential's inf, and a value a whose dual 1/a overflows enters through
+log(1/a) = -log(a) instead of as an absorbing inf.
 
 Points of weight 0 never contribute (the integrand is tensored with its
 weight, and tensor(0, x) == 0 even at x == inf); p-sums are the unweighted
@@ -25,8 +27,8 @@ variant where every listed element counts with weight 1.
 A quantifier node builds its kernel once (``Carrier.quantifier``), then maps
 the body table to the quantified table chunk by chunk, each chunk routed by
 C-level scans: absorbed by an infinity, extremum, geometric, direct sum of
-powers, or log domain.  ``p_mean``, ``p_sum`` and ``add_quantifier`` run one
-chunk through the same kernels.
+powers, or log domain.  ``p_mean``, ``p_sum``, ``add_quantifier`` and
+``escort_quantifier`` run one chunk through the same kernels.
 """
 
 from __future__ import annotations
@@ -136,8 +138,9 @@ def _weighted_sum(ws: Sequence[float], xs: Sequence[float]) -> float:
         return INF if exact > 0 else -INF
 
 
-def _mul_kernel(polarity: Polarity, p: float, ws: Sequence[float]) -> Callable:
-    """The multiplicative aggregate of one chunk of values over weights ws > 0.
+def _mul_kernel(polarity: Polarity, p: float, ws: Sequence[float],
+                log_ws: Sequence[float]) -> Callable:
+    """The multiplicative aggregate of a chunk over weights ws > 0, logs log_ws.
 
     A chunk is routed by C-level scans: absorbed by inf (or, universally, 0),
     extremum, geometric, direct sum of powers, or log domain.  Only a chunk
@@ -147,7 +150,7 @@ def _mul_kernel(polarity: Polarity, p: float, ws: Sequence[float]) -> Callable:
     if p == INF:  # dual(max(dual)) is dual(dual(min)) bit for bit
         return (lambda xs: mul_dual(mul_dual(min(xs)))) if universal else max
     k = max(p, 1.0)
-    lws = [math.log(w) / k for w in ws]
+    lws = [lw / k for lw in log_ws]
 
     def done(v: float) -> MulReal:
         return mul_dual(v) if universal else v
@@ -162,9 +165,12 @@ def _mul_kernel(polarity: Polarity, p: float, ws: Sequence[float]) -> Callable:
         if universal:  # dual . existential . dual
             if 0.0 in xs:
                 return 0.0
-            xs = list(map(truediv, repeat(1.0), xs))
-        if INF in xs:
-            return done(INF)
+            duals = list(map(truediv, repeat(1.0), xs))
+            if INF in duals:  # 1/a overflows for a subnormal a, but -log(a) does not
+                return napier_inv(_add_kernel(polarity, p, ws, log_ws)(list(map(napier, xs))))
+            xs = duals
+        elif INF in xs:
+            return INF
         w, lw = ws, lws
         if 0.0 in xs:  # 0 wins the geometric mean and drops out of a p-sum
             keep = [i for i, a in enumerate(xs) if a > 0.0]
@@ -188,8 +194,9 @@ def _mul_kernel(polarity: Polarity, p: float, ws: Sequence[float]) -> Callable:
     return kernel
 
 
-def _add_kernel(polarity: Polarity, p: float, ws: Sequence[float]) -> Callable:
-    """The additive aggregate of one chunk of values over weights ws > 0
+def _add_kernel(polarity: Polarity, p: float, ws: Sequence[float],
+                log_ws: Sequence[float]) -> Callable:
+    """The additive aggregate of a chunk over weights ws > 0, logs log_ws
     (see ``add_quantifier``)."""
     existential = polarity is Polarity.EXISTENTIAL
     if p == INF:
@@ -204,7 +211,7 @@ def _add_kernel(polarity: Polarity, p: float, ws: Sequence[float]) -> Callable:
             return _weighted_sum(ws, us)
         return kernel
     k = max(p, 1.0)
-    lws = [math.log(w) / k for w in ws]
+    lws = [lw / k for lw in log_ws]
 
     def kernel(us):
         if top in us:
@@ -223,16 +230,24 @@ def _add_kernel(polarity: Polarity, p: float, ws: Sequence[float]) -> Callable:
 
 
 def _quantifier(make_kernel: Callable, polarity: Polarity, p: float,
-                weights: Sequence[float], where: str) -> Callable:
+                weights: Sequence[float], where: str,
+                log_weights: Sequence[float] | None = None) -> Callable:
     """A function from a body table (len(weights) values per chunk) to its
     quantified table (one aggregate per chunk).
 
     Points of weight 0 never contribute, so their cells are dropped first.
+    ``log_weights`` (default: log w, -inf off the support) may be exact where
+    a weight w underflowed: such a point stays in the support.
     """
-    support = [i for i, w in enumerate(weights) if w > 0.0]
+    if log_weights is None:
+        support = [i for i, w in enumerate(weights) if w > 0.0]
+        lws = [math.log(weights[i]) for i in support]
+    else:
+        support = [i for i, lw in enumerate(log_weights) if lw > -INF]
+        lws = [log_weights[i] for i in support]
     if not support:
         raise QuantLogicError("EMPTY_SUPPORT", f"{where} has empty support")
-    aggregate = make_kernel(polarity, p, [weights[i] for i in support])
+    aggregate = make_kernel(polarity, p, [weights[i] for i in support], lws)
     n, m = len(weights), len(support)
 
     def table(body: Sequence[float]) -> list[float]:
@@ -281,9 +296,23 @@ def add_quantifier(polarity: Polarity, p: float, weights, values) -> AddReal:
     weights, values = list(weights), [check_add(u) for u in values]
     if len(weights) != len(values):
         raise QuantLogicError("VALUE_COUNT", f"{len(values)} values, {len(weights)} weights")
-    space = make_space(range(len(weights)), weights, "quantifier")
-    return _quantifier(_add_kernel, sp.polarity, sp.magnitude, space.weights,
+    if weights:  # none at all is an empty support, below
+        weights = make_space(range(len(weights)), weights, "quantifier").weights
+    return _quantifier(_add_kernel, sp.polarity, sp.magnitude, weights,
                        "quantifier")(values)[0]
+
+
+def escort_quantifier(mode: str, sp: SignedP, space: Space, masses: Sequence[MulReal],
+                      values: Sequence[float]) -> float:
+    """The quantifier sp of values in carrier ``mode`` over the escort weights
+    w * m of masses m on a space of weights w.  Each is also taken in logs,
+    log w + log m, so a point whose product w * m underflows stays in the
+    support, with its exact weight on the log-domain route."""
+    ws = list(map(mul, space.weights, masses))
+    lws = [math.log(w) + math.log(m) if w > 0.0 < m else -INF
+           for w, m in zip(space.weights, masses)]
+    return _quantifier(_mul_kernel if carrier(mode) is MUL else _add_kernel, sp.polarity,
+                       sp.magnitude, ws, f"space {space.name!r}", lws)(values)[0]
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import QuantLogicError
 from .extreal import (INF, AddReal, MulReal, check_add, check_mul, mul_div,
                       mul_dual, napier)
 from .formulas import Atom, Context, Div, Formula, Quant
-from .pmeans import (Polarity, SignedP, ValueVector, add_quantifier, exists_p,
+from .pmeans import (Polarity, SignedP, ValueVector, escort_quantifier, exists_p,
                      kahan_sum, p_mean)
 from .semantics import evaluate, separator_cast, unitary_separator
 from .spaces import Space
@@ -133,13 +133,11 @@ def log_likelihood(u: EnergyFunction) -> tuple[AddReal, ...]:
                       Div(Atom("a", ("x",)), Atom("a", ("xstar",))), ("xstar",))
 
 
-def _escort(phi: Distribution, p: float) -> tuple[Polarity, float, tuple[float, ...]]:
-    """The quantifier that reads order p: ``E^(p-1)`` for p >= 1, ``A^(1-p)``
-    below, over the escort weights w * phi, which integrate to 1."""
+def _escort(p: float) -> SignedP:
+    """The quantifier that reads order p over the escort weights w * phi,
+    which integrate to 1: ``E^(p-1)`` for p >= 1, ``A^(1-p)`` below."""
     p = _check_p(p, positive=False)
-    polarity = Polarity.EXISTENTIAL if p >= 1.0 else Polarity.UNIVERSAL
-    weights = tuple(w * m for w, m in zip(phi.space.weights, phi.masses))
-    return polarity, abs(p - 1.0), weights
+    return SignedP(Polarity.EXISTENTIAL if p >= 1.0 else Polarity.UNIVERSAL, abs(p - 1.0))
 
 
 def renyi_entropy(phi: Distribution, p: float) -> float:
@@ -149,8 +147,8 @@ def renyi_entropy(phi: Distribution, p: float) -> float:
     p = 1 is Shannon entropy, p = 0 the log of the support mass, p = inf
     -log of the essential maximum.
     """
-    polarity, magnitude, weights = _escort(phi, p)
-    return add_quantifier(polarity, magnitude, weights, [napier(m) for m in phi.masses])
+    return escort_quantifier("add", _escort(p), phi.space, phi.masses,
+                             [napier(m) for m in phi.masses])
 
 
 def hill_diversity(phi: Distribution, p: float) -> MulReal:
@@ -158,9 +156,8 @@ def hill_diversity(phi: Distribution, p: float) -> MulReal:
     multiplicative reading of the same escort quantifier on phi,
     D_p = 1 / M_(p-1)(phi; w * phi) (Leinster, *Entropy and Diversity*, 2021).
     """
-    polarity, magnitude, weights = _escort(phi, p)
-    escort = Space(phi.space.name, phi.space.points, weights)
-    return mul_dual(p_mean(SignedP(polarity, magnitude), ValueVector(escort, phi.masses)))
+    return mul_dual(escort_quantifier("mul", _escort(p), phi.space, phi.masses,
+                                      phi.masses))
 
 
 def shannon_entropy(phi: Distribution) -> float:

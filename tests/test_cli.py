@@ -260,16 +260,6 @@ def test_entropy_near_order_zero(envfile, capsys):
     assert out.split("\n")[0] == "H=1.386294361120, D=4.000000000000"
 
 
-def test_eval_integer_beyond_the_double_range(tmp_path, capsys):
-    path = tmp_path / "huge.json"
-    doc = {"mode": "add", "spaces": {"I": {"points": ["a", "b"], "weights": [1, 1]}},
-           "atoms": {"f": {"context": ["I"], "values": [10 ** 400, -(10 ** 400)]}}}
-    path.write_text(json.dumps(doc))
-    rc, out, err = run(capsys, "eval", "--env", str(path), "f(x)")
-    assert rc == 0, err
-    assert out.split("\n")[1:3] == ["a\tinf", "b\t-inf"]
-
-
 def test_entropy_rejects_non_unitary(envfile, capsys):
     rc, _, err = run(capsys, "entropy", "--env", envfile, "f")
     assert rc == 1

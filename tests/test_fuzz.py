@@ -101,7 +101,9 @@ def environment_documents(draw) -> bytes:
     if tidy:
         atoms["phi"]["values"] = [1.0 / sizes["I"]] * sizes["I"]
     doc = {"mode": mode, "spaces": spaces, "atoms": atoms}
-    for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=2)):
+    # in the order of DEFECTS, so that no defect reads what "shape" replaced
+    for defect in sorted(draw(st.lists(st.sampled_from(DEFECTS), max_size=2)),
+                         key=DEFECTS.index):
         space = spaces[draw(st.sampled_from(sorted(spaces)))]
         atom = atoms[draw(st.sampled_from(sorted(atoms)))]
         if defect == "value":

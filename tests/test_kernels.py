@@ -2,6 +2,7 @@
 kernels of ``helpers``, and the route each chunk takes."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from quantlogic import INF, Polarity, make_space, pmeans
 from quantlogic.extreal import mul_dual
 from quantlogic.pmeans import carrier
-from helpers import ref_add_quantifier, ref_p_mean
+from helpers import ref_add_quantifier, ref_p_mean, rel_close
 
 E, A = Polarity.EXISTENTIAL, Polarity.UNIVERSAL
 MAGNITUDES = (0.0, 0.5, 1.0, 2.0, 63.9, 64.0, 100.0, INF)
@@ -44,6 +45,15 @@ def _corrected(mode, polarity, p, weights, chunk, got, ref) -> bool:
     where the reference saturates."""
     if mode == "mul" and polarity is A and ref == 0.0 and 0.0 < got < MIN_NORMAL:
         return True  # a universal log-domain value L beyond the range: exp(-L), not 1/inf
+    if mode == "mul" and polarity is A and ref == 0.0 < got and any(
+            w > 0.0 and x > 0.0 and 1.0 / x == INF for w, x in zip(weights, chunk)):
+        # a value whose dual 1/a overflows: the reference absorbs it as an inf,
+        # the kernel takes log(1/a) = -log(a), as the additive carrier does
+        us = [-math.log(x) if x > 0.0 else INF for x in chunk]
+        want = quantify("add", A, p, weights, us)[0]
+        if got == INF:  # the mean itself is beyond the range
+            return -want > math.log(sys.float_info.max)
+        return rel_close(-math.log(got), want)
     if p != 0.0 or not math.isinf(ref) and ref != 0.0:
         return False
     pairs = [(w, x) for w, x in zip(weights, chunk) if w > 0.0]
@@ -108,6 +118,20 @@ def test_universal_mean_below_the_normal_range():
     add = quantify("add", A, 0.5, [1e155], [0.0])[0]
     assert math.isclose(-math.log(got), add, rel_tol=1e-12)
     assert quantify("mul", E, 0.5, [1e155], [1.0]) == [INF]
+
+
+@pytest.mark.parametrize("p, weights, values, want", [
+    (0.0, [0.5], [1e-310], 1e-155),                 # (1e-310) ** 0.5
+    (0.5, [1e-10], [1e-310], 1e-290),               # (1e-10 * 1e155) ** -2
+    (1.0, [0.5, 0.5], [1e-310, 1.0], 2e-310),       # 1 / (0.5e310 + 0.5)
+    (2.0, [1.0, 1.0], [5e-324, INF], 5e-324)])      # inf drops out
+def test_universal_mean_of_a_value_whose_dual_overflows(p, weights, values, want):
+    # 1/a is inf for these a: the value must neither absorb the mean nor be
+    # lost, and the additive carrier agrees
+    got = quantify("mul", A, p, weights, values)[0]
+    assert math.isclose(got, want, rel_tol=1e-12)
+    add = quantify("add", A, p, weights, [-math.log(a) for a in values])[0]
+    assert math.isclose(-math.log(got), add, rel_tol=1e-12)
 
 
 def test_one_chunk_entry_points_share_the_node_kernel():

@@ -217,6 +217,7 @@ def test_add_quantifier_corners():
     (1.0, (INF, 1.0), (0.0, 1.0), "NONFINITE_WEIGHT"),
     (1.0, (math.nan, 1.0), (0.0, 1.0), "NONFINITE_WEIGHT"),
     (1.0, (-1.0, 1.0), (0.0, 1.0), "NEGATIVE_WEIGHT"),
+    (1.0, (), (), "EMPTY_SUPPORT"),
 ])
 def test_add_quantifier_validates_its_inputs(p, weights, values, code):
     with pytest.raises(QuantLogicError) as err:

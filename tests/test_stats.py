@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantlogic import (
     INF,
@@ -201,6 +202,20 @@ def test_uniform_entropy_off_probability_spaces(space, masses):
         assert_close(hill_diversity(phi, p), total, 1e-12)
 
 
+@pytest.mark.parametrize("weights, masses", [((1.0, 1.0), (1e-310, 1.0)),
+                                             ((0.4, 1.0), (5e-324, 1.0))])
+@pytest.mark.parametrize("p", [0.0, 1e-4, 0.5])
+def test_entropy_keeps_masses_below_the_normal_range(weights, masses, p):
+    # 1/m overflows for both small masses, and the escort weight 0.4 * 5e-324
+    # underflows to 0; neither point may be dropped or absorb the mean.  The
+    # log route cancels log(m) of about -745, hence the tolerance.
+    phi = distribution(make_space(["a", "b"], weights), masses)
+    total = kahan_sum(w * math.exp(p * math.log(m)) for w, m in zip(weights, masses))
+    want = math.log(total) / (1.0 - p)
+    assert_close(renyi_entropy(phi, p), want, 1e-12)
+    assert math.isclose(hill_diversity(phi, p), math.exp(want), rel_tol=1e-12)
+
+
 def test_hill_is_exp_entropy():
     rng = random.Random(35)
     for _ in range(30):
@@ -212,6 +227,35 @@ def test_hill_is_exp_entropy():
         for p in (0.0, 0.5, 1.0, 2.0, 5.0, INF):
             assert_close(hill_diversity(phi, p),
                          math.exp(renyi_entropy(phi, p)), 1e-12)
+
+
+# masses from the whole double range, subnormals included, each at most
+# 1/16; the first point (weight >= 1) takes up the rest of the unit mass
+tiny_masses = st.lists(st.one_of(st.sampled_from((0.0, 5e-324, 1e-310, 2.0 ** -1022)),
+                                 st.floats(0.0, 1.0 / 16)), min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_masses, st.data())
+def test_entropy_matches_its_definition_on_any_masses(rest, data):
+    ws = data.draw(st.lists(st.floats(0.1, 4.0), min_size=len(rest) + 1,
+                            max_size=len(rest) + 1))
+    ws[0] = max(ws[0], 1.0)
+    m0 = (1.0 - math.fsum(w * m for w, m in zip(ws[1:], rest))) / ws[0]
+    masses = [m0, *rest]
+    phi = distribution(make_space(range(len(ws)), ws), masses)
+    support = [(w, m) for w, m in zip(ws, masses) if m > 0.0]
+    for p in (0.0, 0.25, 0.5, 1.0, 2.0, 5.0, INF):
+        if p == 1.0:
+            want = -math.fsum(w * m * math.log(m) for w, m in support)
+        elif p == INF:
+            want = -math.log(max(m for _, m in support))
+        else:
+            want = math.log(math.fsum(w * math.exp(p * math.log(m))
+                                      for w, m in support)) / (1.0 - p)
+        h, d = renyi_entropy(phi, p), hill_diversity(phi, p)
+        assert_close(h, want, 1e-12, f"H at p={p}")
+        assert math.isclose(d, math.exp(want), rel_tol=1e-12), (p, d, math.exp(want))
 
 
 def test_renyi_formula_path_agrees():
