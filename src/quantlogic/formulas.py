@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, TypeVar
 
 from .errors import FormulaSyntaxError, QuantLogicError
 from .extreal import INF, MUL_CONSTANTS, OpCode, format_value
-from .pmeans import ADD, MUL, Polarity, carrier, live
+from .pmeans import ADD, MUL, Polarity, SignedP, carrier, live
 from .spaces import Space
 
 T = TypeVar("T")
@@ -453,8 +453,9 @@ def check_wellformed(f: Formula, ctx: Context, env) -> Formula:
 
     Returns the formula unchanged on success; raises QuantLogicError with one
     of UNBOUND_VARIABLE / SHADOWED_VARIABLE / ATOM_ARITY / UNKNOWN_SPACE /
-    UNKNOWN_ATOM / INVALID_VALUE otherwise, for the first offending node in
-    pre-order, left to right.
+    UNKNOWN_ATOM / INVALID_VALUE / INVALID_P otherwise, for the first
+    offending node in pre-order, left to right.  Magnitudes and scalar
+    factors of code-built nodes meet the parser's ranges here.
     """
     check = live(carrier(env.mode).check)
     outer = {v: s.name for v, s in ctx.entries}
@@ -463,8 +464,9 @@ def check_wellformed(f: Formula, ctx: Context, env) -> Formula:
             if not isinstance(node.value, str):
                 check(node.value)
         elif isinstance(node, Scalar):
-            if math.isnan(node.factor):
-                raise QuantLogicError("INVALID_VALUE", "NaN is not a scalar factor")
+            if not 0.0 <= node.factor < INF:  # NaN fails too
+                raise QuantLogicError("INVALID_VALUE",
+                                      f"scalar factors are in [0, inf), got {node.factor!r}")
         elif isinstance(node, Atom):
             table = env.atoms.get(node.name)
             if table is None:
@@ -486,6 +488,7 @@ def check_wellformed(f: Formula, ctx: Context, env) -> Formula:
                         f"atom {node.name!r} expects a {space_name!r} variable, "
                         f"but {arg!r} ranges over {scope[arg]!r}")
         elif isinstance(node, Quant):
+            SignedP(node.polarity, node.magnitude)  # INVALID_P off [0, inf]
             if node.space not in env.spaces:
                 raise QuantLogicError("UNKNOWN_SPACE",
                                       f"space {node.space!r} not in environment")

@@ -5,30 +5,31 @@ A signed exponent selects a *polarity* along with a magnitude p:
 * existential polarity aggregates with exponent +p,
   ``(sum_i w_i a_i**p) ** (1/p)`` — a soft maximum;
 * universal polarity aggregates with exponent -p,
-  ``(sum_i w_i a_i**-p) ** (-1/p)`` — a soft minimum, and exactly the
-  reciprocal-conjugate of the existential one.
+  ``(sum_i w_i a_i**-p) ** (-1/p)`` — a soft minimum, the De Morgan dual of
+  the existential one (exactly at the corners, to rounding elsewhere).
 
-Magnitude 0 means the geometric regime, which splits in two: the disjunctive
-geometric mean folds 0-vs-inf conflicts with cotensor (inf wins), the
-conjunctive one with tensor (0 wins).  Magnitude inf means essential extrema
-over the support.
-
-Universal aggregation is *implemented* as dual . existential . dual, so the
-De Morgan duality of the two polarities holds exactly, corner cases included.
-The exceptions are the two ends of the double range: a log-domain value L
-beyond it gives the universal result exp(-L), not the dual of the
-existential's inf, and a value a whose dual 1/a overflows enters through
-log(1/a) = -log(a) instead of as an absorbing inf.
+Existential aggregation is absorbed by logical true (inf) and drops logical
+false (0); universal aggregation the reverse.  Magnitude 0 means the
+geometric regime, where a dropped corner does not drop out but decides the
+mean unless the absorbing one is present: the disjunctive geometric mean
+folds 0-vs-inf conflicts with cotensor (inf wins), the conjunctive one with
+tensor (0 wins).  Magnitude inf means essential extrema over the support.
 
 Points of weight 0 never contribute (the integrand is tensored with its
 weight, and tensor(0, x) == 0 even at x == inf); p-sums are the unweighted
 variant where every listed element counts with weight 1.
 
-A quantifier node builds its kernel once (``Carrier.quantifier``), then maps
-the body table to the quantified table chunk by chunk, each chunk routed by
-C-level scans: absorbed by an infinity, extremum, geometric, direct sum of
-powers, or log domain.  ``p_mean``, ``p_sum``, ``add_quantifier`` and
-``escort_quantifier`` run one chunk through the same kernels.
+One kernel serves both carriers and both polarities; a carrier only says how
+its values are represented (``Carrier``).  The universal polarity takes the
+exponent -p as it stands, on the direct route and in the log domain
+(``exp(-L)`` with L the log-domain mean of ``-log a``), and no route takes a
+reciprocal, so the extremum is exact and values at either end of the double
+range keep their place.  A quantifier node builds its kernel once
+(``Carrier.quantifier``), then maps the body table to the quantified table
+chunk by chunk, each chunk routed by C-level scans: absorbed, extremum,
+geometric, direct sum of powers, or log domain.  ``p_mean``, ``p_sum``,
+``add_quantifier`` and ``escort_quantifier`` run one chunk through the same
+kernel.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
-from operator import add, mul, neg, sub, truediv
+from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Sequence
 
 from .errors import QuantLogicError
@@ -103,7 +105,7 @@ def value_vector(space: Space, values: Iterable[float]) -> ValueVector:
 
 
 # --------------------------------------------------------------------------
-# node kernels: set up once per quantified table, applied chunk by chunk
+# the node kernel: set up once per quantified table, applied chunk by chunk
 # --------------------------------------------------------------------------
 
 def _log_mean(p: float, lws: Sequence[float], xs: Iterable[float]) -> float:
@@ -122,12 +124,13 @@ def _log_mean(p: float, lws: Sequence[float], xs: Iterable[float]) -> float:
     return m + r / p if k == p else (m + r) / p
 
 
-def _weighted_sum(ws: Sequence[float], xs: Sequence[float]) -> float:
+def _weighted_sum(ws: Sequence[float], xs: Iterable[float]) -> float:
     """sum_i w_i x_i for finite w_i and x_i.
 
     A product beyond the double range is not taken as its signed infinity:
     then the products are summed exactly, so that only the total decides.
     """
+    xs = list(xs)
     terms = list(map(mul, ws, xs))
     if INF not in terms and -INF not in terms:
         return kahan_sum(terms)
@@ -138,102 +141,64 @@ def _weighted_sum(ws: Sequence[float], xs: Sequence[float]) -> float:
         return INF if exact > 0 else -INF
 
 
-def _mul_kernel(polarity: Polarity, p: float, ws: Sequence[float],
-                log_ws: Sequence[float]) -> Callable:
-    """The multiplicative aggregate of a chunk over weights ws > 0, logs log_ws.
+def _kernel(c: Carrier, polarity: Polarity, p: float, ws: Sequence[float],
+            log_ws: Sequence[float]) -> Callable:
+    """The aggregate in carrier c of a chunk over weights ws > 0, logs log_ws.
 
-    A chunk is routed by C-level scans: absorbed by inf (or, universally, 0),
-    extremum, geometric, direct sum of powers, or log domain.  Only a chunk
-    holding a 0 (universally an inf) picks out its remaining points one by one.
+    A chunk is routed by C-level scans: absorbed, extremum, geometric, direct
+    sum of powers (MUL only), or log domain.  Only a chunk holding the dropped
+    corner picks out its remaining points one by one.
     """
-    universal = polarity is Polarity.UNIVERSAL
-    if p == INF:  # dual(max(dual)) is dual(dual(min)) bit for bit
-        return (lambda xs: mul_dual(mul_dual(min(xs)))) if universal else max
+    true, false = c.constants["true"], c.constants["false"]
+    absorb, drop = (true, false) if polarity is Polarity.EXISTENTIAL else (false, true)
+    # The mean leans to its absorbing corner.  Where that corner is the numeric
+    # minimum (MUL universal, ADD existential) the extremum is min, the direct
+    # route takes exponent -p and the log domain runs on negated coordinates.
+    lower = absorb < drop
+    if p == INF:
+        return min if lower else max
     k = max(p, 1.0)
     lws = [lw / k for lw in log_ws]
-
-    def done(v: float) -> MulReal:
-        return mul_dual(v) if universal else v
-
-    def finish(log_value: float) -> MulReal:
-        try:
-            return done(math.exp(log_value))
-        except OverflowError:  # universally 1/inf is not 0 but exp(-L)
-            return math.exp(-log_value) if universal else INF
+    logs, exp = c.logs, c.exp
+    powers = c.powers and p < _LOG_ROUTE_P
+    e = -p if lower else p
 
     def kernel(xs):
-        if universal:  # dual . existential . dual
-            if 0.0 in xs:
-                return 0.0
-            duals = list(map(truediv, repeat(1.0), xs))
-            if INF in duals:  # 1/a overflows for a subnormal a, but -log(a) does not
-                return napier_inv(_add_kernel(polarity, p, ws, log_ws)(list(map(napier, xs))))
-            xs = duals
-        elif INF in xs:
-            return INF
+        if absorb in xs:
+            return absorb
         w, lw = ws, lws
-        if 0.0 in xs:  # 0 wins the geometric mean and drops out of a p-sum
-            keep = [i for i, a in enumerate(xs) if a > 0.0]
-            if p == 0.0 or not keep:
-                return done(0.0)
+        if drop in xs:  # it drops out of a p-mean, but wins the geometric mean
+            if p == 0.0:
+                return drop
+            keep = [i for i, a in enumerate(xs) if a != drop]
+            if not keep:
+                return drop
             xs, w, lw = ([s[i] for i in keep] for s in (xs, ws, lws))
         if p == 0.0:
-            return finish(_weighted_sum(w, list(map(math.log, xs))))
-        hi, lo = max(xs), min(xs)
-        if (p < _LOG_ROUTE_P and hi / lo <= _LOG_ROUTE_RANGE
-                and p * abs(math.log(hi)) <= _EXP_BUDGET
-                and p * abs(math.log(lo)) <= _EXP_BUDGET):
-            s = kahan_sum(map(mul, w, map(pow, xs, repeat(p))))
-            if s < INF:  # else a huge weight overflowed the sum: take the log route
-                try:
-                    return done(s ** (1.0 / p))
-                except OverflowError:  # beyond the range, but its dual may not be
-                    return finish(math.log(s) / p)
-        return finish(_log_mean(p, lw, map(math.log, xs)))
+            return exp(_weighted_sum(w, logs(xs)))
+        if powers:
+            hi, lo = max(xs), min(xs)
+            if (hi / lo <= _LOG_ROUTE_RANGE and p * abs(math.log(hi)) <= _EXP_BUDGET
+                    and p * abs(math.log(lo)) <= _EXP_BUDGET):
+                s = kahan_sum(map(mul, w, map(pow, xs, repeat(e))))
+                if s < INF:  # else a huge weight overflowed the sum: take the log route
+                    try:
+                        return s ** (1.0 / e)
+                    except OverflowError:
+                        return INF
+                    except ZeroDivisionError:  # a sum of a**-p that underflowed to 0
+                        pass
+        if lower:
+            return exp(-_log_mean(p, lw, map(neg, logs(xs))))
+        return exp(_log_mean(p, lw, logs(xs)))
 
     return kernel
 
 
-def _add_kernel(polarity: Polarity, p: float, ws: Sequence[float],
-                log_ws: Sequence[float]) -> Callable:
-    """The additive aggregate of a chunk over weights ws > 0, logs log_ws
-    (see ``add_quantifier``)."""
-    existential = polarity is Polarity.EXISTENTIAL
-    if p == INF:
-        return min if existential else max
-    # The kernel e^(-top*p*u) blows up at u = top (that end absorbs) and
-    # vanishes at u = -top (those points drop out).
-    top = -INF if existential else INF
-    if p == 0.0:
-        def kernel(us):
-            if INF in us or -INF in us:
-                return top if INF in us and -INF in us else (INF if INF in us else -INF)
-            return _weighted_sum(ws, us)
-        return kernel
-    k = max(p, 1.0)
-    lws = [lw / k for lw in log_ws]
-
-    def kernel(us):
-        if top in us:
-            return top
-        lw = lws
-        if -top in us:
-            keep = [i for i, u in enumerate(us) if u != -top]
-            if not keep:
-                return -top
-            us, lw = [us[i] for i in keep], [lws[i] for i in keep]
-        if existential:
-            return -_log_mean(p, lw, map(neg, us))
-        return _log_mean(p, lw, us)
-
-    return kernel
-
-
-def _quantifier(make_kernel: Callable, polarity: Polarity, p: float,
-                weights: Sequence[float], where: str,
-                log_weights: Sequence[float] | None = None) -> Callable:
+def _quantifier(c: Carrier, polarity: Polarity, p: float, weights: Sequence[float],
+                where: str, log_weights: Sequence[float] | None = None) -> Callable:
     """A function from a body table (len(weights) values per chunk) to its
-    quantified table (one aggregate per chunk).
+    quantified table (one aggregate per chunk) in carrier c.
 
     Points of weight 0 never contribute, so their cells are dropped first.
     ``log_weights`` (default: log w, -inf off the support) may be exact where
@@ -247,7 +212,7 @@ def _quantifier(make_kernel: Callable, polarity: Polarity, p: float,
         lws = [log_weights[i] for i in support]
     if not support:
         raise QuantLogicError("EMPTY_SUPPORT", f"{where} has empty support")
-    aggregate = make_kernel(polarity, p, [weights[i] for i in support], lws)
+    aggregate = _kernel(c, polarity, p, [weights[i] for i in support], lws)
     n, m = len(weights), len(support)
 
     def table(body: Sequence[float]) -> list[float]:
@@ -259,7 +224,7 @@ def _quantifier(make_kernel: Callable, polarity: Polarity, p: float,
 
 
 # --------------------------------------------------------------------------
-# public operations: one chunk through a node kernel
+# public operations: one chunk through the node kernel
 # --------------------------------------------------------------------------
 
 def p_sum(sp: SignedP, values: Sequence[float]) -> MulReal:
@@ -269,8 +234,7 @@ def p_sum(sp: SignedP, values: Sequence[float]) -> MulReal:
         raise QuantLogicError("EMPTY_LIST", "p_sum of an empty list")
     if sp.magnitude == 0.0:
         raise QuantLogicError("P_ZERO_SUM", "p-sums require magnitude > 0")
-    return _quantifier(_mul_kernel, sp.polarity, sp.magnitude, [1.0] * len(vals),
-                       "p_sum")(vals)[0]
+    return _quantifier(MUL, sp.polarity, sp.magnitude, [1.0] * len(vals), "p_sum")(vals)[0]
 
 
 def p_mean(sp: SignedP, vv: ValueVector) -> MulReal:
@@ -279,7 +243,7 @@ def p_mean(sp: SignedP, vv: ValueVector) -> MulReal:
     No normalization happens here: the weights are used as given, so on
     non-probability spaces this is a power *integral* rather than a mean.
     """
-    return _mul_quantifier(sp.polarity, sp.magnitude, vv.space)(vv.values)[0]
+    return MUL.quantifier(sp.polarity, sp.magnitude, vv.space)(vv.values)[0]
 
 
 def add_quantifier(polarity: Polarity, p: float, weights, values) -> AddReal:
@@ -298,34 +262,24 @@ def add_quantifier(polarity: Polarity, p: float, weights, values) -> AddReal:
         raise QuantLogicError("VALUE_COUNT", f"{len(values)} values, {len(weights)} weights")
     if weights:  # none at all is an empty support, below
         weights = make_space(range(len(weights)), weights, "quantifier").weights
-    return _quantifier(_add_kernel, sp.polarity, sp.magnitude, weights,
-                       "quantifier")(values)[0]
+    return _quantifier(ADD, sp.polarity, sp.magnitude, weights, "quantifier")(values)[0]
 
 
-def escort_quantifier(mode: str, sp: SignedP, space: Space, masses: Sequence[MulReal],
+def escort_quantifier(c: Carrier, sp: SignedP, space: Space, masses: Sequence[MulReal],
                       values: Sequence[float]) -> float:
-    """The quantifier sp of values in carrier ``mode`` over the escort weights
-    w * m of masses m on a space of weights w.  Each is also taken in logs,
+    """The quantifier sp of values in carrier c over the escort weights w * m
+    of masses m on a space of weights w.  Each is also taken in logs,
     log w + log m, so a point whose product w * m underflows stays in the
     support, with its exact weight on the log-domain route."""
     ws = list(map(mul, space.weights, masses))
     lws = [math.log(w) + math.log(m) if w > 0.0 < m else -INF
            for w, m in zip(space.weights, masses)]
-    return _quantifier(_mul_kernel if carrier(mode) is MUL else _add_kernel, sp.polarity,
-                       sp.magnitude, ws, f"space {space.name!r}", lws)(values)[0]
+    return _quantifier(c, sp.polarity, sp.magnitude, ws, f"space {space.name!r}", lws)(values)[0]
 
 
 # --------------------------------------------------------------------------
 # the two carriers
 # --------------------------------------------------------------------------
-
-def _mul_quantifier(polarity: Polarity, p: float, space: Space) -> Callable:
-    return _quantifier(_mul_kernel, polarity, p, space.weights, f"space {space.name!r}")
-
-
-def _add_quantifier(polarity: Polarity, p: float, space: Space) -> Callable:
-    return _quantifier(_add_kernel, polarity, p, space.weights, f"space {space.name!r}")
-
 
 @dataclass(frozen=True)
 class Carrier:
@@ -335,6 +289,10 @@ class Carrier:
     field.  Look one up with ``carrier(mode)`` where a mode string comes in.
     Call the function fields through ``live``, so that rebinding the module
     function (a mock, a profiler) reaches every caller.
+
+    The one quantifier kernel reads from a carrier only how values are
+    represented: in MUL by their logs, with a direct sum of powers allowed;
+    ADD values are log coordinates already.
     """
 
     mode: str                       # "mul" | "add"
@@ -344,15 +302,23 @@ class Carrier:
     div: Callable                   # residual of tensor
     dual: Callable                  # the involution
     scalar: Callable                # scalar action (k, a) -> k . a
-    quantifier: Callable            # (polarity, p, space) -> (body table -> quantified table)
     check: Callable                 # validates a value entering from outside
     napier: Callable                # this carrier -> the other one
+    logs: Callable                  # a chunk of values -> their log coordinates
+    exp: Callable                   # a log coordinate -> its value
+    powers: bool                    # whether the direct sum of powers applies
+
+    def quantifier(self, polarity: Polarity, p: float, space: Space) -> Callable:
+        """A function from a body table over space (one chunk per row) to the
+        quantified table, its kernel built once."""
+        return _quantifier(self, polarity, p, space.weights, f"space {space.name!r}")
 
 
 MUL = Carrier("mul", "add", MUL_CONSTANTS, MUL_OPS, mul_div, mul_dual, mul_pow,
-              _mul_quantifier, check_mul, napier)
+              check_mul, napier, logs=partial(map, math.log),
+              exp=lambda x: napier_inv(-x), powers=True)
 ADD = Carrier("add", "mul", ADD_CONSTANTS, ADD_OPS, add_div, add_dual, add_scalar,
-              _add_quantifier, check_add, napier_inv)
+              check_add, napier_inv, logs=iter, exp=float, powers=False)
 
 
 def carrier(mode: str) -> Carrier:

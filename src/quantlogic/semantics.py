@@ -3,9 +3,10 @@
 A formula in context denotes a table of carrier values, one per tuple of
 points (row-major, last variable fastest).  One evaluator serves both
 carriers, reading each node's meaning from the carrier's record; the additive
-record has its own operations and log-domain quantifier kernel rather than
-round-tripping through the multiplicative side, which is what makes the
-napier-coherence property an actual check instead of a tautology.
+record has its own operations, and the shared quantifier kernel reads
+additive values as they are rather than round-tripping through the
+multiplicative side, which is what makes the napier-coherence property an
+actual check instead of a tautology.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str) -> Predicat
             return list(map(c.ops[node.op], *kids))
         if isinstance(node, Quant):
             space = env.spaces[node.space]
-            return live(c.quantifier)(node.polarity, node.magnitude, space)(kids[0])
+            return c.quantifier(node.polarity, node.magnitude, space)(kids[0])
         if isinstance(node, Div):
             return list(map(live(c.div), *kids))
         if isinstance(node, Dual):

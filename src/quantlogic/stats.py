@@ -25,8 +25,8 @@ from .errors import QuantLogicError
 from .extreal import (INF, AddReal, MulReal, check_add, check_mul, mul_div,
                       mul_dual, napier)
 from .formulas import Atom, Context, Div, Formula, Quant
-from .pmeans import (Polarity, SignedP, ValueVector, escort_quantifier, exists_p,
-                     kahan_sum, p_mean)
+from .pmeans import (ADD, MUL, Polarity, SignedP, ValueVector, escort_quantifier,
+                     exists_p, kahan_sum, p_mean)
 from .semantics import evaluate, separator_cast, unitary_separator
 from .spaces import Space
 
@@ -147,7 +147,7 @@ def renyi_entropy(phi: Distribution, p: float) -> float:
     p = 1 is Shannon entropy, p = 0 the log of the support mass, p = inf
     -log of the essential maximum.
     """
-    return escort_quantifier("add", _escort(p), phi.space, phi.masses,
+    return escort_quantifier(ADD, _escort(p), phi.space, phi.masses,
                              [napier(m) for m in phi.masses])
 
 
@@ -156,7 +156,7 @@ def hill_diversity(phi: Distribution, p: float) -> MulReal:
     multiplicative reading of the same escort quantifier on phi,
     D_p = 1 / M_(p-1)(phi; w * phi) (Leinster, *Entropy and Diversity*, 2021).
     """
-    return mul_dual(escort_quantifier("mul", _escort(p), phi.space, phi.masses,
+    return mul_dual(escort_quantifier(MUL, _escort(p), phi.space, phi.masses,
                                       phi.masses))
 
 

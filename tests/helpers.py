@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from quantlogic import (
     Atom,
@@ -18,7 +19,7 @@ from quantlogic import (
     Scalar,
     environment_from_dict,
 )
-from quantlogic.extreal import add_scalar, kahan_sum, mul_dual
+from quantlogic.extreal import add_scalar, kahan_sum
 from quantlogic.formulas import Formula, children, rebuild, walk
 from quantlogic.pmeans import Polarity
 
@@ -141,9 +142,10 @@ def random_formula(rng: random.Random, depth: int = 4,
 
 # ---------------------------------------------------------------------------
 # reference quantifier kernels: one aggregate from (weight, value) pairs, cell
-# by cell, as the library computed it before its node kernels.  Two results
-# differ on purpose: at p = 0 a product w * x beyond the double range
-# saturates here, and a universal log-domain value beyond the range gives 0.
+# by cell, as the library computed it before its node kernels; the universal
+# multiplicative mean as the node kernel computes it, with exponent -p.  One
+# result differs on purpose: at p = 0 a product w * x beyond the double range
+# saturates here, except in that universal mean.
 # ---------------------------------------------------------------------------
 
 _REF_LOG_ROUTE_P = 64.0
@@ -206,12 +208,53 @@ def _ref_geometric_disjunctive(pairs):
         return INF
 
 
+def _ref_exp(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return INF
+
+
+def _ref_universal(p, pairs):
+    """(sum w a**-p) ** (-1/p): 0 absorbs it, inf drops out of it but wins its
+    geometric mean, and no reciprocal is taken."""
+    if p == INF:
+        return min(a for _, a in pairs)
+    if any(a == 0.0 for _, a in pairs):
+        return 0.0
+    finite = [(w, a) for w, a in pairs if a < INF]
+    if not finite or p == 0.0 and len(finite) < len(pairs):
+        return INF
+    weights, values = zip(*finite)
+    logs = [math.log(a) for a in values]
+    if p == 0.0:
+        terms = [w * x for w, x in zip(weights, logs)]
+        if not any(math.isinf(t) for t in terms):
+            return _ref_exp(kahan_sum(terms))
+        exact = sum(Fraction(w) * Fraction(x) for w, x in zip(weights, logs))
+        try:  # products beyond the double range, summed exactly
+            return _ref_exp(float(exact))
+        except OverflowError:
+            return INF if exact > 0 else 0.0
+    direct = (p < _REF_LOG_ROUTE_P
+              and max(values) / min(values) <= _REF_LOG_ROUTE_RANGE
+              and p * abs(math.log(max(values))) <= _REF_EXP_BUDGET
+              and p * abs(math.log(min(values))) <= _REF_EXP_BUDGET)
+    if direct:
+        s = kahan_sum(w * a ** -p for w, a in finite)
+        if 0.0 < s < INF:
+            try:
+                return s ** (-1.0 / p)
+            except OverflowError:
+                return INF
+    return _ref_exp(-_ref_log_mean(p, weights, [-x for x in logs]))
+
+
 def ref_p_mean(polarity, p, weights, values):
     """The multiplicative p-mean of values over the points of positive weight."""
     pairs = [(w, v) for w, v in zip(weights, values) if w > 0.0]
     if polarity is Polarity.UNIVERSAL:
-        dual_pairs = [(w, mul_dual(a)) for w, a in pairs]
-        return mul_dual(ref_p_mean(Polarity.EXISTENTIAL, p, *zip(*dual_pairs)))
+        return _ref_universal(p, pairs)
     if p == 0.0:
         return _ref_geometric_disjunctive(pairs)
     return _ref_existential(p, pairs)

@@ -251,6 +251,37 @@ def test_wellformed_reports_first_fault_in_pre_order(text, code):
     assert err.value.code == code
 
 
+F_X, G_Y = Atom("f", ("x",)), Atom("g", ("y",))
+
+
+@pytest.mark.parametrize("mode", ["mul", "add"])
+@pytest.mark.parametrize("node, code", [
+    (Quant(Polarity.EXISTENTIAL, math.nan, "x", "I", F_X), "INVALID_P"),
+    (Quant(Polarity.UNIVERSAL, -1.0, "x", "I", F_X), "INVALID_P"),
+    (Scalar(-1.0, G_Y), "INVALID_VALUE"),
+    (Scalar(INF, G_Y), "INVALID_VALUE"),
+])
+def test_wellformed_rejects_code_built_nodes_outside_the_grammar(node, code, mode):
+    # the parser rejects these magnitudes and factors; a node built in code
+    # meets the same ranges before it is evaluated, in either carrier
+    env = environment_from_dict({
+        "mode": mode,
+        "spaces": {"I": {"points": ["a", "b"], "weights": [1, 1]}},
+        "atoms": {"f": {"context": ["I"], "values": [2, 3]},
+                  "g": {"context": ["I"], "values": [2, 0]}},
+    })
+    context = Context((("y", env.spaces["I"]),))
+    with pytest.raises(QuantLogicError) as err:
+        check_wellformed(node, context, env)
+    assert err.value.code == code
+
+
+def test_context_rejects_a_repeated_variable():
+    with pytest.raises(QuantLogicError) as err:
+        ctx(("x", "I"), ("x", "K"))
+    assert err.value.code == "SHADOWED_VARIABLE"
+
+
 def test_shadowing_context_variable():
     f = parse("E^1 (y in I). phi(y)")
     with pytest.raises(QuantLogicError) as err:
