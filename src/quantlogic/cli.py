@@ -30,7 +30,7 @@ from .entailment import (
 )
 from .environment import Environment, load_environment, translate_environment
 from .errors import QuantLogicError
-from .extreal import napier_inv, parse_value, spell_value
+from .extreal import INF, napier_inv, parse_value, spell_value
 from .formulas import (
     Atom,
     Context,
@@ -174,10 +174,7 @@ def _cmd_plot_data(args) -> int:
     env = load_environment(args.env)
     vec = _atom_vector(env, args.atom, args.space)
     grid = _parse_grid(args.grid)
-    support = [v for w, v in zip(vec.space.weights, vec.values) if w > 0.0]
-    if not support:
-        raise QuantLogicError("EMPTY_SUPPORT", "atom has no weighted points")
-    hi, lo = max(support), min(support)
+    hi, lo = p_mean(exists_p(INF), vec), p_mean(forall_p(INF), vec)
     print("p,psum_pos,psum_neg,pmean_pos,pmean_neg,max,min")
     for p in grid:
         row = [

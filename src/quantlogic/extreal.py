@@ -115,11 +115,15 @@ def kahan_sum(xs: Iterable[float]) -> float:
     infinite = [x for x in xs if math.isinf(x)]
     if infinite:
         return math.fsum(infinite)
-    exact = sum(map(Fraction, xs))
+    return exact_float(sum(map(Fraction, xs)))
+
+
+def exact_float(total: Fraction) -> float:
+    """The double nearest an exact total; the signed infinity beyond the double range."""
     try:
-        return float(exact)
+        return float(total)
     except OverflowError:
-        return INF if exact > 0 else -INF
+        return INF if total > 0 else -INF
 
 
 # --------------------------------------------------------------------------

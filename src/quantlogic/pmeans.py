@@ -26,10 +26,12 @@ exponent -p as it stands, on the direct route and in the log domain
 reciprocal, so the extremum is exact and values at either end of the double
 range keep their place.  A quantifier node builds its kernel once
 (``Carrier.quantifier``), then maps the body table to the quantified table
-chunk by chunk, each chunk routed by C-level scans: absorbed, extremum,
-geometric, direct sum of powers, or log domain.  ``p_mean``, ``p_sum``,
-``add_quantifier`` and ``escort_quantifier`` run one chunk through the same
-kernel.
+chunk by chunk.  Each chunk is absorbed, or takes the extremum, the
+geometric mean, the direct sum of powers or the log domain; the direct route
+is taken where every power and term it computes is a normal double and
+their sum is finite, and the log domain everywhere else.  ``p_mean``,
+``p_sum``, ``add_quantifier`` and ``escort_quantifier`` run one chunk
+through the same kernel.
 """
 
 from __future__ import annotations
@@ -41,21 +43,15 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from operator import add, mul, neg, sub
+from sys import float_info
 from typing import Callable, Iterable, Sequence
 
 from .errors import QuantLogicError
 from .extreal import (ADD_CONSTANTS, ADD_OPS, INF, MUL_CONSTANTS, MUL_OPS, AddReal,
                       MulReal, OpCode, add_div, add_dual, add_scalar, check_add,
-                      check_mul, kahan_sum, mul_div, mul_dual, mul_pow, napier,
-                      napier_inv)
+                      check_mul, exact_float, kahan_sum, mul_div, mul_dual, mul_pow,
+                      napier, napier_inv)
 from .spaces import Space, make_space
-
-# Kernel routing: go through the log domain for large exponents, wide dynamic
-# range, or whenever a**p would leave the double exponent range.
-_LOG_ROUTE_P = 64.0
-_LOG_ROUTE_RANGE = 1e12
-_EXP_BUDGET = 700.0
-
 
 class Polarity(enum.Enum):
     EXISTENTIAL = "existential"  # exponent +p
@@ -134,20 +130,20 @@ def _weighted_sum(ws: Sequence[float], xs: Iterable[float]) -> float:
     terms = list(map(mul, ws, xs))
     if INF not in terms and -INF not in terms:
         return kahan_sum(terms)
-    exact = sum(map(mul, map(Fraction, ws), map(Fraction, xs)))
-    try:
-        return float(exact)
-    except OverflowError:
-        return INF if exact > 0 else -INF
+    return exact_float(sum(map(mul, map(Fraction, ws), map(Fraction, xs))))
 
 
 def _kernel(c: Carrier, polarity: Polarity, p: float, ws: Sequence[float],
             log_ws: Sequence[float]) -> Callable:
     """The aggregate in carrier c of a chunk over weights ws > 0, logs log_ws.
 
-    A chunk is routed by C-level scans: absorbed, extremum, geometric, direct
-    sum of powers (MUL only), or log domain.  Only a chunk holding the dropped
-    corner picks out its remaining points one by one.
+    A chunk is absorbed, or takes the extremum (p = inf) or the geometric mean
+    (p = 0).  At any other p a MUL chunk takes the direct route,
+    ``(sum_i w_i a_i**e) ** (1/e)`` with e = +-p, when every power a_i**e and
+    every term w_i a_i**e is a normal double and their sum is finite; a chunk
+    where one of them underflows, is subnormal or overflows, and every ADD
+    chunk, takes the log domain.  Only a chunk holding the dropped corner picks
+    out its remaining points one by one.
     """
     true, false = c.constants["true"], c.constants["false"]
     absorb, drop = (true, false) if polarity is Polarity.EXISTENTIAL else (false, true)
@@ -159,8 +155,7 @@ def _kernel(c: Carrier, polarity: Polarity, p: float, ws: Sequence[float],
         return min if lower else max
     k = max(p, 1.0)
     lws = [lw / k for lw in log_ws]
-    logs, exp = c.logs, c.exp
-    powers = c.powers and p < _LOG_ROUTE_P
+    logs, exp, powers = c.logs, c.exp, c.powers
     e = -p if lower else p
 
     def kernel(xs):
@@ -177,17 +172,15 @@ def _kernel(c: Carrier, polarity: Polarity, p: float, ws: Sequence[float],
         if p == 0.0:
             return exp(_weighted_sum(w, logs(xs)))
         if powers:
-            hi, lo = max(xs), min(xs)
-            if (hi / lo <= _LOG_ROUTE_RANGE and p * abs(math.log(hi)) <= _EXP_BUDGET
-                    and p * abs(math.log(lo)) <= _EXP_BUDGET):
-                s = kahan_sum(map(mul, w, map(pow, xs, repeat(e))))
-                if s < INF:  # else a huge weight overflowed the sum: take the log route
-                    try:
+            try:
+                pws = list(map(pow, xs, repeat(e)))
+                terms = list(map(mul, w, pws))
+                if min(pws) >= float_info.min and min(terms) >= float_info.min:
+                    s = kahan_sum(terms)
+                    if s < INF:
                         return s ** (1.0 / e)
-                    except OverflowError:
-                        return INF
-                    except ZeroDivisionError:  # a sum of a**-p that underflowed to 0
-                        pass
+            except OverflowError:  # a power or the root beyond the double range
+                pass
         if lower:
             return exp(-_log_mean(p, lw, map(neg, logs(xs))))
         return exp(_log_mean(p, lw, logs(xs)))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 from quantlogic import (
@@ -19,7 +20,7 @@ from quantlogic import (
     Scalar,
     environment_from_dict,
 )
-from quantlogic.extreal import add_scalar, kahan_sum
+from quantlogic.extreal import kahan_sum
 from quantlogic.formulas import Formula, children, rebuild, walk
 from quantlogic.pmeans import Polarity
 
@@ -142,16 +143,10 @@ def random_formula(rng: random.Random, depth: int = 4,
 
 # ---------------------------------------------------------------------------
 # reference quantifier kernels: one aggregate from (weight, value) pairs, cell
-# by cell, as the library computed it before its node kernels; the universal
-# multiplicative mean as the node kernel computes it, with exponent -p.  One
-# result differs on purpose: at p = 0 a product w * x beyond the double range
-# saturates here, except in that universal mean.
+# by cell, with the node kernel's choice between the direct sum of powers and
+# the log domain; at p = 0 products w * x beyond the double range are summed
+# exactly, so that only the total decides.
 # ---------------------------------------------------------------------------
-
-_REF_LOG_ROUTE_P = 64.0
-_REF_LOG_ROUTE_RANGE = 1e12
-_REF_EXP_BUDGET = 700.0
-
 
 def _ref_log_mean(p, weights, xs):
     k = max(p, 1.0)
@@ -162,25 +157,38 @@ def _ref_log_mean(p, weights, xs):
     return m + r / p if k == p else (m + r) / p
 
 
-def _ref_pow_sum_root(p, pairs):
-    amax = max(a for _, a in pairs)
-    amin = min(a for _, a in pairs)
-    direct = (p < _REF_LOG_ROUTE_P
-              and amax / amin <= _REF_LOG_ROUTE_RANGE
-              and p * abs(math.log(amax)) <= _REF_EXP_BUDGET
-              and p * abs(math.log(amin)) <= _REF_EXP_BUDGET)
-    if direct:
-        s = kahan_sum(w * a ** p for w, a in pairs)
-        if s < INF:
-            try:
-                return s ** (1.0 / p)
-            except OverflowError:
-                return INF
-    weights, values = zip(*pairs)
+def ref_direct(e, pairs):
+    """(sum w a**e) ** (1/e) for finite a > 0, or None where the node kernel
+    takes the log domain instead: a power a**e or a term w a**e that is not a
+    normal double, or a sum or root beyond the double range."""
     try:
-        return math.exp(_ref_log_mean(p, weights, map(math.log, values)))
+        powers = [a ** e for _, a in pairs]
+        terms = [w * x for (w, _), x in zip(pairs, powers)]
+        if min(powers + terms) < sys.float_info.min:
+            return None
+        s = kahan_sum(terms)
+        return s ** (1.0 / e) if s < INF else None
+    except OverflowError:
+        return None
+
+
+def _ref_exp(x):
+    try:
+        return math.exp(x)
     except OverflowError:
         return INF
+
+
+def _ref_weighted_sum(pairs):
+    """sum w x, exactly where a product leaves the double range."""
+    terms = [w * x for w, x in pairs]
+    if not any(math.isinf(t) for t in terms):
+        return kahan_sum(terms)
+    exact = sum(Fraction(w) * Fraction(x) for w, x in pairs)
+    try:
+        return float(exact)
+    except OverflowError:
+        return INF if exact > 0 else -INF
 
 
 def _ref_existential(p, pairs):
@@ -191,7 +199,11 @@ def _ref_existential(p, pairs):
     positive = [(w, a) for w, a in pairs if a > 0.0]
     if not positive:
         return 0.0
-    return _ref_pow_sum_root(p, positive)
+    direct = ref_direct(p, positive)
+    if direct is not None:
+        return direct
+    weights, values = zip(*positive)
+    return _ref_exp(_ref_log_mean(p, weights, map(math.log, values)))
 
 
 def _ref_geometric_disjunctive(pairs):
@@ -199,20 +211,7 @@ def _ref_geometric_disjunctive(pairs):
         return INF
     if any(a == 0.0 for _, a in pairs):
         return 0.0
-    terms = [w * math.log(a) for w, a in pairs]
-    if INF in terms:
-        return INF
-    try:
-        return math.exp(kahan_sum(terms))
-    except OverflowError:
-        return INF
-
-
-def _ref_exp(x):
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return INF
+    return _ref_exp(_ref_weighted_sum([(w, math.log(a)) for w, a in pairs]))
 
 
 def _ref_universal(p, pairs):
@@ -225,29 +224,13 @@ def _ref_universal(p, pairs):
     finite = [(w, a) for w, a in pairs if a < INF]
     if not finite or p == 0.0 and len(finite) < len(pairs):
         return INF
-    weights, values = zip(*finite)
-    logs = [math.log(a) for a in values]
     if p == 0.0:
-        terms = [w * x for w, x in zip(weights, logs)]
-        if not any(math.isinf(t) for t in terms):
-            return _ref_exp(kahan_sum(terms))
-        exact = sum(Fraction(w) * Fraction(x) for w, x in zip(weights, logs))
-        try:  # products beyond the double range, summed exactly
-            return _ref_exp(float(exact))
-        except OverflowError:
-            return INF if exact > 0 else 0.0
-    direct = (p < _REF_LOG_ROUTE_P
-              and max(values) / min(values) <= _REF_LOG_ROUTE_RANGE
-              and p * abs(math.log(max(values))) <= _REF_EXP_BUDGET
-              and p * abs(math.log(min(values))) <= _REF_EXP_BUDGET)
-    if direct:
-        s = kahan_sum(w * a ** -p for w, a in finite)
-        if 0.0 < s < INF:
-            try:
-                return s ** (-1.0 / p)
-            except OverflowError:
-                return INF
-    return _ref_exp(-_ref_log_mean(p, weights, [-x for x in logs]))
+        return _ref_exp(_ref_weighted_sum([(w, math.log(a)) for w, a in finite]))
+    direct = ref_direct(-p, finite)
+    if direct is not None:
+        return direct
+    weights, values = zip(*finite)
+    return _ref_exp(-_ref_log_mean(p, weights, [-math.log(a) for a in values]))
 
 
 def ref_p_mean(polarity, p, weights, values):
@@ -268,16 +251,12 @@ def ref_add_quantifier(polarity, p, weights, values):
         us = [u for _, u in pairs]
         return min(us) if existential else max(us)
     if p == 0.0:
-        terms = [add_scalar(w, u) for w, u in pairs]
-        has_pos = any(t == INF for t in terms)
-        has_neg = any(t == -INF for t in terms)
-        if has_pos and has_neg:
+        infinite = {u for _, u in pairs if math.isinf(u)}
+        if len(infinite) == 2:  # cotensor (existential) or tensor (universal)
             return -INF if existential else INF
-        if has_pos:
-            return INF
-        if has_neg:
-            return -INF
-        return kahan_sum(terms)
+        if infinite:
+            return infinite.pop()
+        return _ref_weighted_sum(pairs)
     sign = -1.0 if existential else 1.0
     if any(u == sign * INF for _, u in pairs):
         return sign * INF

@@ -225,6 +225,18 @@ def test_plot_data_is_deterministic(envfile, capsys):
     assert first == second
 
 
+def test_plot_data_empty_support(tmp_path, capsys):
+    doc = {"mode": "mul",
+           "spaces": {"Z": {"points": ["a", "b"], "weights": [0, 0]}},
+           "atoms": {"g": {"context": ["Z"], "values": [1, 2]}}}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "plot-data", "--env", str(path), "g")
+    assert rc == 1
+    assert err.startswith("error[EMPTY_SUPPORT]")
+    assert out == ""
+
+
 def test_plot_data_bad_grid(envfile, capsys):
     rc, _, err = run(capsys, "plot-data", "--env", envfile, "f",
                      "--grid", "1:2")

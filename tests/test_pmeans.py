@@ -343,7 +343,7 @@ def test_corner_cotensor_homogeneity_breaks_at_zero():
 huge_weights = st.lists(st.one_of(st.floats(min_value=0.0, max_value=1e308),
                                   st.sampled_from((1e308, 1.0, 0.0))),
                         min_size=1, max_size=5).filter(lambda ws: any(w > 0.0 for w in ws))
-# the four magnitude classes: 0, inf, p >= 64 (log route) and the rest
+# four magnitude classes: 0, inf, p >= 64 and the rest
 magnitudes = st.one_of(st.just(0.0), st.just(INF),
                        st.floats(min_value=64.0, max_value=1e300),
                        st.floats(min_value=5e-324, max_value=64.0, exclude_max=True))
