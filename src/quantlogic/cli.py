@@ -175,17 +175,12 @@ def _cmd_plot_data(args) -> int:
     vec = _atom_vector(env, args.atom, args.space)
     grid = _parse_grid(args.grid)
     hi, lo = p_mean(exists_p(INF), vec), p_mean(forall_p(INF), vec)
+    # every row is built before the header, so a grid point that fails
+    # (p = 0 has no p-sum) leaves stdout empty
+    rows = [[p, p_sum(exists_p(p), vec.values), p_sum(forall_p(p), vec.values),
+             p_mean(exists_p(p), vec), p_mean(forall_p(p), vec), hi, lo] for p in grid]
     print("p,psum_pos,psum_neg,pmean_pos,pmean_neg,max,min")
-    for p in grid:
-        row = [
-            p,
-            p_sum(exists_p(p), vec.values),
-            p_sum(forall_p(p), vec.values),
-            p_mean(exists_p(p), vec),
-            p_mean(forall_p(p), vec),
-            hi,
-            lo,
-        ]
+    for row in rows:
         print(",".join(_fmt(v) for v in row))
     return 0
 

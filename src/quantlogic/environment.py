@@ -143,7 +143,6 @@ def save_environment(env: Environment, path: str) -> None:
 def translate_environment(env: Environment) -> Environment:
     """Napier-translate every atom table into the opposite carrier."""
     c = carrier(env.mode)
-    conv = live(c.napier)
-    atoms = {name: AtomTable(t.context, tuple(conv(v) for v in t.values))
+    atoms = {name: AtomTable(t.context, tuple(c.napier_table(t.values)))
              for name, t in env.atoms.items()}
     return make_environment(c.other, env.spaces, atoms)

@@ -13,6 +13,13 @@ are decided by explicit case analysis so that IEEE never gets a chance to
 produce a NaN; NaN is rejected at the boundaries where values enter
 (``check_mul`` / ``check_add`` / ``parse_value``), which keeps every operation
 total.
+
+Each operation also has a table-at-a-time form (``MUL_TABLES`` /
+``ADD_TABLES``) that maps whole tables with a few passes of IEEE arithmetic.
+IEEE gets every cell right but the corners, and there it gives NaN, so the
+corner cells are found from what the arithmetic produces and only they are
+redone by the scalar operation, which stays the one definition of the corner
+rules.
 """
 
 from __future__ import annotations
@@ -20,11 +27,14 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from typing import Iterable
+from itertools import compress, count, repeat
+from operator import add, mul
+from typing import Callable, Iterable
 
 from .errors import QuantLogicError
 
 INF = math.inf
+NAN = math.nan
 
 # Type aliases, for signature readability only.
 MulReal = float  # a value in [0, inf]
@@ -47,14 +57,17 @@ class OpCode(enum.Enum):
 # --------------------------------------------------------------------------
 
 def check_mul(x: float) -> MulReal:
-    """Validate a multiplicative-carrier value (nonnegative, not NaN)."""
+    """Validate a multiplicative-carrier value (nonnegative, not NaN).
+
+    The carrier has one zero: -0.0 reads as 0.0.
+    """
     x = float(x)
     if math.isnan(x):
         raise QuantLogicError("INVALID_VALUE", "NaN is not a carrier value")
     if x < 0.0:
         raise QuantLogicError("INVALID_VALUE",
                               f"multiplicative values are nonnegative, got {x!r}")
-    return x
+    return x or 0.0
 
 
 def check_add(x: float) -> AddReal:
@@ -288,10 +301,14 @@ def add_div(a: AddReal, b: AddReal) -> AddReal:
     return add_cotensor(add_dual(a), b)
 
 
-def add_scalar(k: float, a: AddReal) -> AddReal:
-    """Scalar action k * a with 0 * (+-inf) := 0; k may be any finite real."""
+def _check_factor(k: float) -> None:
     if math.isnan(k) or math.isinf(k):
         raise QuantLogicError("INVALID_VALUE", f"scalar must be finite, got {k!r}")
+
+
+def add_scalar(k: float, a: AddReal) -> AddReal:
+    """Scalar action k * a with 0 * (+-inf) := 0; k may be any finite real."""
+    _check_factor(k)
     if k == 0.0:
         return 0.0
     return k * a
@@ -328,6 +345,141 @@ def napier_inv(a: AddReal) -> MulReal:
 
 
 # --------------------------------------------------------------------------
+# table-at-a-time forms
+# --------------------------------------------------------------------------
+# Tables are lists of carrier values as check_mul / check_add return them, so
+# a multiplicative table holds no -0.0.  A form's first pass is plain IEEE
+# arithmetic, which is exact wherever the scalar operation's own arithmetic
+# is; at the corners it gives NaN (0 * inf, inf - inf, a division by a zero
+# masked to NaN), and only those cells are redone by the scalar operation.
+
+def _redo_nan(op: Callable, out: list, *tables: list) -> list:
+    """out, with each NaN cell recomputed by op from the tables' cells.
+
+    A sum is NaN where a cell is NaN (or where both infinities are), so the
+    NaN cells are looked for only in the blocks of isqrt(len(out)) cells
+    whose sum is NaN.
+    """
+    total = sum(out)
+    if total == total:
+        return out
+    step = math.isqrt(len(out))
+    for j in range(0, len(out), step):
+        block = out[j:j + step]
+        total = sum(block)
+        if total != total:
+            for i in compress(count(j), map(math.isnan, block)):
+                out[i] = op(*[t[i] for t in tables])
+    return out
+
+
+def mul_join_table(xs: list, ys: list) -> list:
+    return [a if a >= b else b for a, b in zip(xs, ys)]
+
+
+def mul_meet_table(xs: list, ys: list) -> list:
+    return [a if a <= b else b for a, b in zip(xs, ys)]
+
+
+def mul_add_table(xs: list, ys: list) -> list:
+    return list(map(add, xs, ys))
+
+
+def mul_hadd_table(xs: list, ys: list) -> list:
+    # With zeros masked to NaN, 0 (absorbing) and inf + inf come out NaN, and
+    # inf (the unit) gives b / (1 + b/inf) == b.
+    out = [a / (1.0 + a / b) if a <= b else b / (1.0 + b / a)
+           for a, b in zip([x or NAN for x in xs], [y or NAN for y in ys])]
+    return _redo_nan(mul_hadd, out, xs, ys)
+
+
+def mul_tensor_table(xs: list, ys: list) -> list:
+    return _redo_nan(mul_tensor, list(map(mul, xs, ys)), xs, ys)
+
+
+def mul_cotensor_table(xs: list, ys: list) -> list:
+    return _redo_nan(mul_cotensor, list(map(mul, xs, ys)), xs, ys)
+
+
+def mul_dual_table(xs: list) -> list:
+    return _redo_nan(mul_dual, [1.0 / (a or NAN) for a in xs], xs)
+
+
+def mul_div_table(xs: list, ys: list) -> list:
+    return _redo_nan(mul_div, [b / (a or NAN) for a, b in zip(xs, ys)], xs, ys)
+
+
+def mul_pow_table(k: MulReal, xs: list) -> list:
+    """mul_pow(k, .) on each cell: IEEE pow has its corner rows, k = 0 and
+    k = inf included; a table where a power overflows goes cell by cell."""
+    try:
+        return list(map(pow, xs, repeat(k)))
+    except OverflowError:
+        return [mul_pow(k, a) for a in xs]
+
+
+def add_join_table(xs: list, ys: list) -> list:
+    return [a if a <= b else b for a, b in zip(xs, ys)]
+
+
+def add_meet_table(xs: list, ys: list) -> list:
+    return [a if a >= b else b for a, b in zip(xs, ys)]
+
+
+def add_add_table(xs: list, ys: list) -> list:
+    # -inf absorbs and +inf drops out by themselves; inf - inf gives NaN.
+    out = [(a if a <= b else b) - math.log1p(math.exp(-abs(a - b)))
+           for a, b in zip(xs, ys)]
+    return _redo_nan(add_add, out, xs, ys)
+
+
+def add_hadd_table(xs: list, ys: list) -> list:
+    # d - d is NaN exactly where an operand is infinite (or a - b overflows),
+    # so those cells are redone: hadd(-inf, -0.0) keeps the zero's sign, which
+    # hi + log1p(0) would not.
+    out = [(a if a >= b else b) + math.log1p(math.exp(-abs(d := a - b))) + (d - d)
+           for a, b in zip(xs, ys)]
+    return _redo_nan(add_hadd, out, xs, ys)
+
+
+def add_tensor_table(xs: list, ys: list) -> list:
+    return _redo_nan(add_tensor, list(map(add, xs, ys)), xs, ys)
+
+
+def add_cotensor_table(xs: list, ys: list) -> list:
+    return _redo_nan(add_cotensor, list(map(add, xs, ys)), xs, ys)
+
+
+def add_dual_table(xs: list) -> list:
+    return [0.0 - a for a in xs]  # -a, and 0.0 at either zero
+
+
+def add_div_table(xs: list, ys: list) -> list:
+    return _redo_nan(add_div, [(0.0 - a) + b for a, b in zip(xs, ys)], xs, ys)
+
+
+def add_scalar_table(k: float, xs: list) -> list:
+    """add_scalar(k, .) on each cell, k checked once."""
+    _check_factor(k)
+    if k == 0.0:
+        return [0.0] * len(xs)
+    return [k * a for a in xs]
+
+
+def napier_table(xs: list) -> list:
+    """napier on each cell: 0 comes out NaN from the masked log and is redone."""
+    return _redo_nan(napier, [-math.log(a or NAN) for a in xs], xs)
+
+
+def napier_inv_table(xs: list) -> list:
+    """napier_inv on each cell; a table where exp overflows goes cell by cell."""
+    try:
+        return [math.exp(-a) for a in xs]
+    except OverflowError:
+        return [napier_inv(a) for a in xs]
+
+
+# --------------------------------------------------------------------------
 # dispatch tables
 # --------------------------------------------------------------------------
 
@@ -347,6 +499,25 @@ ADD_OPS = {
     OpCode.HADD: add_hadd,
     OpCode.TENSOR: add_tensor,
     OpCode.COTENSOR: add_cotensor,
+}
+
+
+MUL_TABLES = {
+    OpCode.JOIN: mul_join_table,
+    OpCode.MEET: mul_meet_table,
+    OpCode.ADD: mul_add_table,
+    OpCode.HADD: mul_hadd_table,
+    OpCode.TENSOR: mul_tensor_table,
+    OpCode.COTENSOR: mul_cotensor_table,
+}
+
+ADD_TABLES = {
+    OpCode.JOIN: add_join_table,
+    OpCode.MEET: add_meet_table,
+    OpCode.ADD: add_add_table,
+    OpCode.HADD: add_hadd_table,
+    OpCode.TENSOR: add_tensor_table,
+    OpCode.COTENSOR: add_cotensor_table,
 }
 
 

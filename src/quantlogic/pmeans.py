@@ -29,9 +29,12 @@ range keep their place.  A quantifier node builds its kernel once
 chunk by chunk.  Each chunk is absorbed, or takes the extremum, the
 geometric mean, the direct sum of powers or the log domain; the direct route
 is taken where every power and term it computes is a normal double and
-their sum is finite, and the log domain everywhere else.  ``p_mean``,
-``p_sum``, ``add_quantifier`` and ``escort_quantifier`` run one chunk
-through the same kernel.
+their sum is finite, and the log domain everywhere else.  The corners are
+found by the arithmetic: at finite p > 0 a chunk first takes its carrier's
+route as it stands, a route that cannot succeed on a chunk a corner decides,
+and only a chunk where it fails is scanned for the corners (``_kernel``).
+``p_mean``, ``p_sum``, ``add_quantifier`` and ``escort_quantifier`` run one
+chunk through the same kernel.
 """
 
 from __future__ import annotations
@@ -47,10 +50,11 @@ from sys import float_info
 from typing import Callable, Iterable, Sequence
 
 from .errors import QuantLogicError
-from .extreal import (ADD_CONSTANTS, ADD_OPS, INF, MUL_CONSTANTS, MUL_OPS, AddReal,
-                      MulReal, OpCode, add_div, add_dual, add_scalar, check_add,
-                      check_mul, exact_float, kahan_sum, mul_div, mul_dual, mul_pow,
-                      napier, napier_inv)
+from .extreal import (ADD_CONSTANTS, ADD_TABLES, INF, MUL_CONSTANTS, MUL_TABLES, NAN,
+                      AddReal, MulReal, OpCode, add_div_table, add_dual_table,
+                      add_scalar_table, check_add, check_mul, exact_float, kahan_sum,
+                      mul_div_table, mul_dual_table, mul_pow_table, napier, napier_inv,
+                      napier_inv_table, napier_table)
 from .spaces import Space, make_space
 
 class Polarity(enum.Enum):
@@ -109,12 +113,16 @@ def _log_mean(p: float, lws: Sequence[float], xs: Iterable[float]) -> float:
     given lws[i] = log(w_i) / max(p, 1).
 
     Factored around the largest term, in units of 1/max(p, 1) so that no term
-    overflows however large or small p and the x_i are.
+    overflows however large or small p and the x_i are.  An x_i of -inf
+    contributes nothing; the mean is NaN where some x_i is +inf or all are
+    -inf, since the factoring maximum is then not finite.
     """
     k = max(p, 1.0)
     q = p / k
     v = list(map(add, lws, xs if q == 1.0 else map(mul, repeat(q), xs)))
     m = max(v)
+    if not -INF < m < INF:
+        return NAN
     t = map(sub, v, repeat(m))
     r = math.log(kahan_sum(map(math.exp, t if k == 1.0 else map(mul, repeat(k), t))))
     return m + r / p if k == p else (m + r) / p
@@ -144,6 +152,16 @@ def _kernel(c: Carrier, polarity: Polarity, p: float, ws: Sequence[float],
     where one of them underflows, is subnormal or overflows, and every ADD
     chunk, takes the log domain.  Only a chunk holding the dropped corner picks
     out its remaining points one by one.
+
+    At finite p > 0 the corners are found by the arithmetic: a chunk first
+    takes its carrier's fast route as it stands, and only a chunk where that
+    fails is scanned for the corners.  The direct route fails on every chunk
+    holding 0 or inf (0**e is 0, 0**-e raises, an inf term makes the sum
+    infinite).  In the log domain a dropped corner contributes exp(-inf) = 0,
+    exactly as if it had been picked out, and an absorbing one, or a chunk of
+    dropped corners only, makes the factoring maximum non-finite and the mean
+    NaN (``_log_mean``).  MUL chunks leave the log domain for after the scans,
+    since the log of 0 raises.
     """
     true, false = c.constants["true"], c.constants["false"]
     absorb, drop = (true, false) if polarity is Polarity.EXISTENTIAL else (false, true)
@@ -158,7 +176,31 @@ def _kernel(c: Carrier, polarity: Polarity, p: float, ws: Sequence[float],
     logs, exp, powers = c.logs, c.exp, c.powers
     e = -p if lower else p
 
+    def direct(w, lw, xs):
+        """The direct route; NaN where it does not apply."""
+        try:
+            pws = list(map(pow, xs, repeat(e)))
+            terms = list(map(mul, w, pws))
+            if min(pws) >= float_info.min and min(terms) >= float_info.min:
+                s = kahan_sum(terms)
+                if s < INF:
+                    return s ** (1.0 / e)
+        except (OverflowError, ZeroDivisionError):  # beyond the double range, or 0**-p
+            pass
+        return NAN
+
+    def log_domain(w, lw, xs):
+        if lower:
+            return exp(-_log_mean(p, lw, map(neg, logs(xs))))
+        return exp(_log_mean(p, lw, logs(xs)))
+
+    fast = direct if powers else log_domain
+
     def kernel(xs):
+        if p > 0.0:
+            got = fast(ws, lws, xs)
+            if got == got:
+                return got
         if absorb in xs:
             return absorb
         w, lw = ws, lws
@@ -169,21 +211,13 @@ def _kernel(c: Carrier, polarity: Polarity, p: float, ws: Sequence[float],
             if not keep:
                 return drop
             xs, w, lw = ([s[i] for i in keep] for s in (xs, ws, lws))
+            if powers:
+                got = direct(w, lw, xs)
+                if got == got:
+                    return got
         if p == 0.0:
             return exp(_weighted_sum(w, logs(xs)))
-        if powers:
-            try:
-                pws = list(map(pow, xs, repeat(e)))
-                terms = list(map(mul, w, pws))
-                if min(pws) >= float_info.min and min(terms) >= float_info.min:
-                    s = kahan_sum(terms)
-                    if s < INF:
-                        return s ** (1.0 / e)
-            except OverflowError:  # a power or the root beyond the double range
-                pass
-        if lower:
-            return exp(-_log_mean(p, lw, map(neg, logs(xs))))
-        return exp(_log_mean(p, lw, logs(xs)))
+        return log_domain(w, lw, xs)
 
     return kernel
 
@@ -280,8 +314,10 @@ class Carrier:
 
     MUL is [0, inf]; ADD, its napier image, holds the napier conjugate of each
     field.  Look one up with ``carrier(mode)`` where a mode string comes in.
-    Call the function fields through ``live``, so that rebinding the module
-    function (a mock, a profiler) reaches every caller.
+    The connectives and ``napier_table`` map whole tables (lists of values),
+    and redo their corner cells by the module's scalar operations (see
+    ``extreal``).  Call the scalar function fields through ``live``, so that
+    rebinding the module function (a mock, a profiler) reaches every caller.
 
     The one quantifier kernel reads from a carrier only how values are
     represented: in MUL by their logs, with a direct sum of powers allowed;
@@ -291,12 +327,13 @@ class Carrier:
     mode: str                       # "mul" | "add"
     other: str                      # the mode of the napier-conjugate carrier
     constants: dict[str, float]     # the named constants of the formula language
-    ops: dict[OpCode, Callable]     # the six binary operations
-    div: Callable                   # residual of tensor
-    dual: Callable                  # the involution
-    scalar: Callable                # scalar action (k, a) -> k . a
+    ops: dict[OpCode, Callable]     # the six binary operations, on tables
+    div: Callable                   # residual of tensor, on tables
+    dual: Callable                  # the involution, on tables
+    scalar: Callable                # scalar action (k, table) -> k . table
     check: Callable                 # validates a value entering from outside
-    napier: Callable                # this carrier -> the other one
+    napier: Callable                # a value of this carrier -> the other one
+    napier_table: Callable          # a table of this carrier -> the other one
     logs: Callable                  # a chunk of values -> their log coordinates
     exp: Callable                   # a log coordinate -> its value
     powers: bool                    # whether the direct sum of powers applies
@@ -307,11 +344,12 @@ class Carrier:
         return _quantifier(self, polarity, p, space.weights, f"space {space.name!r}")
 
 
-MUL = Carrier("mul", "add", MUL_CONSTANTS, MUL_OPS, mul_div, mul_dual, mul_pow,
-              check_mul, napier, logs=partial(map, math.log),
+MUL = Carrier("mul", "add", MUL_CONSTANTS, MUL_TABLES, mul_div_table, mul_dual_table,
+              mul_pow_table, check_mul, napier, napier_table, logs=partial(map, math.log),
               exp=lambda x: napier_inv(-x), powers=True)
-ADD = Carrier("add", "mul", ADD_CONSTANTS, ADD_OPS, add_div, add_dual, add_scalar,
-              check_add, napier_inv, logs=iter, exp=float, powers=False)
+ADD = Carrier("add", "mul", ADD_CONSTANTS, ADD_TABLES, add_div_table, add_dual_table,
+              add_scalar_table, check_add, napier_inv, napier_inv_table, logs=iter,
+              exp=float, powers=False)
 
 
 def carrier(mode: str) -> Carrier:

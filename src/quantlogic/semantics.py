@@ -91,18 +91,18 @@ def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str) -> Predicat
             if isinstance(node, Atom):
                 return _atom_table(node, names + tuple(bound), here, env)
             value = node.value
-            return [c.constants[value] if isinstance(value, str) else value] * math.prod(here)
+            value = c.constants[value] if isinstance(value, str) else live(c.check)(value)
+            return [value] * math.prod(here)
         if isinstance(node, BinOp):
-            return list(map(c.ops[node.op], *kids))
+            return c.ops[node.op](*kids)
         if isinstance(node, Quant):
             space = env.spaces[node.space]
             return c.quantifier(node.polarity, node.magnitude, space)(kids[0])
         if isinstance(node, Div):
-            return list(map(live(c.div), *kids))
+            return c.div(*kids)
         if isinstance(node, Dual):
-            return list(map(live(c.dual), kids[0]))
-        scalar = live(c.scalar)  # the node is a Scalar
-        return [scalar(node.factor, v) for v in kids[0]]
+            return c.dual(kids[0])
+        return c.scalar(node.factor, kids[0])  # the node is a Scalar
 
     return Predicate(ctx, mode, tuple(fold(f, node_table)))
 
@@ -173,5 +173,5 @@ def separator_cast(s: Separator, v: MulReal) -> bool:
 def cast_predicate(s: Separator, pred: Predicate) -> tuple[bool, ...]:
     """Pointwise cast; additive tables are cast through napier_inv."""
     c = carrier(pred.carrier)
-    values = pred.table if c is MUL else map(live(c.napier), pred.table)
+    values = pred.table if c is MUL else c.napier_table(pred.table)
     return tuple(separator_cast(s, v) for v in values)

@@ -237,6 +237,15 @@ def test_plot_data_empty_support(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("grid, code", [(["--grid", "0:1:3"], "P_ZERO_SUM"),
+                                        (["--grid=-1:1:3"], "INVALID_P")])
+def test_plot_data_failing_grid_point_prints_nothing(envfile, capsys, grid, code):
+    rc, out, err = run(capsys, "plot-data", "--env", envfile, "f", *grid)
+    assert rc == 1
+    assert err.startswith(f"error[{code}]")
+    assert out == ""
+
+
 def test_plot_data_bad_grid(envfile, capsys):
     rc, _, err = run(capsys, "plot-data", "--env", envfile, "f",
                      "--grid", "1:2")
