@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import QuantLogicError
-from .extreal import INF, MulReal, check_mul, mul_div, mul_tensor
+from .extreal import INF, MulReal, check_mul_table, mul_div, mul_tensor
 from .pmeans import ValueVector, exists_p, forall_p, kahan_sum, p_mean
 from .spaces import PointMap, Space, make_space, product_space
 
@@ -95,8 +95,8 @@ def adjunction_check(space_i: Space, space_k: Space, rho, psi,
     if not (space_i.is_probability and space_k.is_probability):
         raise QuantLogicError("NOT_PROBABILITY",
                               "adjunction check needs probability spaces")
-    rho = tuple(check_mul(v) for v in rho)
-    psi = tuple(check_mul(v) for v in psi)
+    rho = check_mul_table(rho)
+    psi = check_mul_table(psi)
     ni, nk = len(space_i), len(space_k)
     if len(rho) != ni * nk or len(psi) != ni:
         raise QuantLogicError("VALUE_COUNT", "rho must be I x K, psi over I")
@@ -169,8 +169,8 @@ def reindex_monotonicity_check(f: PointMap, phi, psi,
     if not f.measure_non_increasing:
         raise QuantLogicError("MAP_NOT_NONINCREASING",
                               "point map increases mass somewhere")
-    phi = tuple(check_mul(v) for v in phi)
-    psi = tuple(check_mul(v) for v in psi)
+    phi = check_mul_table(phi)
+    psi = check_mul_table(psi)
     lhs = entails(f.target, phi, psi, p)
     pulled_phi = tuple(phi[f(i)] for i in range(len(f.source)))
     pulled_psi = tuple(psi[f(i)] for i in range(len(f.source)))
@@ -186,7 +186,7 @@ def pushforward_density(f: PointMap, phi) -> tuple[MulReal, ...]:
     Every point in the image of the map must carry positive target weight;
     points outside the image get density 0.
     """
-    phi = tuple(check_mul(v) for v in phi)
+    phi = check_mul_table(phi)
     if len(phi) != len(f.source):
         raise QuantLogicError("VALUE_COUNT", "phi must live on the source space")
     image = set(f.assignment)
@@ -214,8 +214,8 @@ def laxity_check(f: PointMap, phi, psi) -> EntailmentReport:
     Reports which inequality directions fail; the pushforward is neither lax
     nor colax monoidal in general.
     """
-    phi = tuple(check_mul(v) for v in phi)
-    psi = tuple(check_mul(v) for v in psi)
+    phi = check_mul_table(phi)
+    psi = check_mul_table(psi)
     lhs = tuple(mul_tensor(a, b) for a, b in
                 zip(pushforward_density(f, phi), pushforward_density(f, psi)))
     product = tuple(mul_tensor(a, b) for a, b in zip(phi, psi))

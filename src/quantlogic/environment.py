@@ -11,7 +11,16 @@ The on-disk format is JSON::
 Atom values are row-major over the context spaces (last space fastest) and
 may be JSON numbers or the strings "inf"/"-inf".  ``mode`` declares which
 carrier the tables live in: "mul" values must be nonnegative, "add" values
-may be any extended real; NaN is rejected everywhere.
+may be any extended real; NaN is rejected everywhere.  "spaces" and "atoms"
+may be left out (or null), and are objects where they are given.
+
+Values are decoded and checked a table at a time.  A few passes over a whole
+array clear a table of plain numbers and exact value tokens (``_decode_table``,
+then the carrier's ``check_table``); the scalar codec (``_decode_number``,
+``check_mul``/``check_add``) decides, value by value, any table those passes
+cannot clear, so that the first fault is reported as the scalar codec
+reports it.  The tables the napier maps produce are carrier values by
+construction and are not checked again (``translate_environment``).
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ class Environment:
 def make_environment(mode: str, spaces: dict[str, Space],
                      atoms: dict[str, AtomTable]) -> Environment:
     """Validate and build an Environment; atom values are stored as floats."""
-    check = live(carrier(mode).check)
+    check = live(carrier(mode).check_table)
     checked: dict[str, AtomTable] = {}
     for name, table in atoms.items():
         size = 1
@@ -57,7 +66,7 @@ def make_environment(mode: str, spaces: dict[str, Space],
             raise QuantLogicError(
                 "VALUE_COUNT",
                 f"atom {name!r}: expected {size} values, got {len(table.values)}")
-        checked[name] = AtomTable(table.context, tuple([check(v) for v in table.values]))
+        checked[name] = AtomTable(table.context, check(table.values))
     return Environment(mode, dict(spaces), checked)
 
 
@@ -75,6 +84,28 @@ def _decode_number(x, where: str) -> float:
         return INF if x > 0 else -INF
 
 
+_TOKEN_VALUES = {token: value for value, token in INF_TOKENS.items()}
+
+
+def _decode_table(xs: list, where: str) -> tuple[float, ...]:
+    """_decode_number on each value of a JSON array.
+
+    An array of numbers and exact value tokens is decoded in a few passes;
+    any other, or one holding an integer beyond the double range, goes value
+    by value, so that the first fault raises as _decode_number raises it.
+    """
+    types = set(map(type, xs))
+    try:
+        if str in types:
+            xs = list(map(_TOKEN_VALUES.get, xs, xs))
+            types = set(map(type, xs))
+        if types <= {float, int}:
+            return tuple(map(float, xs))
+    except (TypeError, OverflowError):  # an unhashable value, a huge integer
+        pass
+    return tuple([_decode_number(x, where) for x in xs])
+
+
 def _encode_number(x: float):
     return INF_TOKENS.get(x, x)
 
@@ -88,22 +119,20 @@ def _lists(spec, what: str, keys: tuple[str, str]) -> list:
 
 def environment_from_dict(doc: dict) -> Environment:
     if not isinstance(doc, dict) or not all(
-            isinstance(doc.get(k) or {}, dict) for k in ("spaces", "atoms")):
+            isinstance({} if doc.get(k) is None else doc[k], dict) for k in ("spaces", "atoms")):
         raise QuantLogicError("ENV_FORMAT",
                               "environment must be a JSON object with objects "
                               "'spaces' and 'atoms'")
     spaces: dict[str, Space] = {}
     for name, spec in (doc.get("spaces") or {}).items():
         points, weights = _lists(spec, f"space {name!r}", ("points", "weights"))
-        weights = [_decode_number(w, f"space {name!r}") for w in weights]
-        spaces[name] = make_space(points, weights, name=name)
+        spaces[name] = make_space(points, _decode_table(weights, f"space {name!r}"), name=name)
     atoms: dict[str, AtomTable] = {}
     for name, spec in (doc.get("atoms") or {}).items():
         context, values = _lists(spec, f"atom {name!r}", ("context", "values"))
         if not all(isinstance(s, str) for s in context):
             raise QuantLogicError("ENV_FORMAT", f"atom {name!r}: context lists space names")
-        values = tuple(_decode_number(v, f"atom {name!r}") for v in values)
-        atoms[name] = AtomTable(tuple(context), values)
+        atoms[name] = AtomTable(tuple(context), _decode_table(values, f"atom {name!r}"))
     return make_environment(doc.get("mode", "mul"), spaces, atoms)
 
 
@@ -141,8 +170,12 @@ def save_environment(env: Environment, path: str) -> None:
 
 
 def translate_environment(env: Environment) -> Environment:
-    """Napier-translate every atom table into the opposite carrier."""
+    """Napier-translate every atom table into the opposite carrier.
+
+    The napier maps take carrier values to carrier values, so the translated
+    tables are not checked again.
+    """
     c = carrier(env.mode)
     atoms = {name: AtomTable(t.context, tuple(c.napier_table(t.values)))
              for name, t in env.atoms.items()}
-    return make_environment(c.other, env.spaces, atoms)
+    return Environment(c.other, dict(env.spaces), atoms)

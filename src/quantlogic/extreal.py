@@ -11,8 +11,8 @@ counterpart.
 All values are plain Python floats.  The corner cases (0 * inf and friends)
 are decided by explicit case analysis so that IEEE never gets a chance to
 produce a NaN; NaN is rejected at the boundaries where values enter
-(``check_mul`` / ``check_add`` / ``parse_value``), which keeps every operation
-total.
+(``check_mul`` / ``check_add``, their table forms, ``parse_value``), which
+keeps every operation total.
 
 Each operation also has a table-at-a-time form (``MUL_TABLES`` /
 ``ADD_TABLES``) that maps whole tables with a few passes of IEEE arithmetic.
@@ -76,6 +76,37 @@ def check_add(x: float) -> AddReal:
     if math.isnan(x):
         raise QuantLogicError("INVALID_VALUE", "NaN is not a carrier value")
     return x
+
+
+def _clean_floats(xs: tuple) -> bool:
+    """Whether xs holds floats only, none of them NaN.  A sum is NaN where a
+    value is NaN, and also where both infinities are, so only then are the
+    values looked at one by one."""
+    if not set(map(type, xs)) <= {float}:
+        return False
+    total = sum(xs)
+    return total == total or not any(map(math.isnan, xs))
+
+
+def check_mul_table(xs: Iterable) -> tuple:
+    """check_mul on each value, as a tuple.
+
+    A table of floats that are not NaN and not below 0 is cleared in a few
+    passes; any other goes value by value, so that the first fault raises as
+    check_mul raises it.
+    """
+    xs = tuple(xs)
+    if _clean_floats(xs) and (not xs or min(xs) >= 0.0):
+        return tuple([x or 0.0 for x in xs]) if 0.0 in xs else xs
+    return tuple([check_mul(x) for x in xs])
+
+
+def check_add_table(xs: Iterable) -> tuple:
+    """check_add on each value, as a tuple; cleared as check_mul_table is."""
+    xs = tuple(xs)
+    if _clean_floats(xs):
+        return xs
+    return tuple([check_add(x) for x in xs])
 
 
 def parse_value(text: str) -> float:

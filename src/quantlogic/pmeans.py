@@ -45,16 +45,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 from sys import float_info
 from typing import Callable, Iterable, Sequence
 
 from .errors import QuantLogicError
 from .extreal import (ADD_CONSTANTS, ADD_TABLES, INF, MUL_CONSTANTS, MUL_TABLES, NAN,
                       AddReal, MulReal, OpCode, add_div_table, add_dual_table,
-                      add_scalar_table, check_add, check_mul, exact_float, kahan_sum,
-                      mul_div_table, mul_dual_table, mul_pow_table, napier, napier_inv,
-                      napier_inv_table, napier_table)
+                      add_scalar_table, check_add, check_add_table, check_mul,
+                      check_mul_table, exact_float, kahan_sum, mul_div_table,
+                      mul_dual_table, mul_pow_table, napier, napier_inv, napier_inv_table,
+                      napier_table)
 from .spaces import Space, make_space
 
 class Polarity(enum.Enum):
@@ -96,8 +97,7 @@ class ValueVector:
                 "VALUE_COUNT",
                 f"{len(self.values)} values for {len(self.space)} points of "
                 f"space {self.space.name!r}")
-        for v in self.values:
-            check_mul(v)
+        check_mul_table(self.values)
 
 
 def value_vector(space: Space, values: Iterable[float]) -> ValueVector:
@@ -108,23 +108,29 @@ def value_vector(space: Space, values: Iterable[float]) -> ValueVector:
 # the node kernel: set up once per quantified table, applied chunk by chunk
 # --------------------------------------------------------------------------
 
-def _log_mean(p: float, lws: Sequence[float], xs: Iterable[float]) -> float:
-    """(1/p) log sum_i w_i e^(p x_i) for finite p > 0, w_i > 0 and finite x_i,
-    given lws[i] = log(w_i) / max(p, 1).
+def _log_mean(p: float, lws: Sequence[float], xs: Iterable[float],
+              sign: float = 1.0) -> float:
+    """(1/p) log sum_i w_i e^(p y_i) with y_i = sign * x_i, for finite p > 0,
+    w_i > 0 and sign = +-1, given lws[i] = log(w_i) / max(p, 1).
 
     Factored around the largest term, in units of 1/max(p, 1) so that no term
-    overflows however large or small p and the x_i are.  An x_i of -inf
-    contributes nothing; the mean is NaN where some x_i is +inf or all are
+    overflows however large or small p and the y_i are.  A y_i of -inf
+    contributes nothing; the mean is NaN where some y_i is +inf or all are
     -inf, since the factoring maximum is then not finite.
     """
     k = max(p, 1.0)
     q = p / k
-    v = list(map(add, lws, xs if q == 1.0 else map(mul, repeat(q), xs)))
+    if q == 1.0:
+        v = list(map(add if sign > 0.0 else sub, lws, xs))
+    else:
+        q *= sign
+        v = [lw + q * x for lw, x in zip(lws, xs)]
     m = max(v)
     if not -INF < m < INF:
         return NAN
-    t = map(sub, v, repeat(m))
-    r = math.log(kahan_sum(map(math.exp, t if k == 1.0 else map(mul, repeat(k), t))))
+    exp = math.exp
+    r = math.log(kahan_sum([exp(a - m) for a in v] if k == 1.0 else
+                           [exp(k * (a - m)) for a in v]))
     return m + r / p if k == p else (m + r) / p
 
 
@@ -191,7 +197,7 @@ def _kernel(c: Carrier, polarity: Polarity, p: float, ws: Sequence[float],
 
     def log_domain(w, lw, xs):
         if lower:
-            return exp(-_log_mean(p, lw, map(neg, logs(xs))))
+            return exp(-_log_mean(p, lw, logs(xs), -1.0))
         return exp(_log_mean(p, lw, logs(xs)))
 
     fast = direct if powers else log_domain
@@ -256,7 +262,7 @@ def _quantifier(c: Carrier, polarity: Polarity, p: float, weights: Sequence[floa
 
 def p_sum(sp: SignedP, values: Sequence[float]) -> MulReal:
     """Unweighted p-sum of a nonempty list (magnitude 0 is undefined)."""
-    vals = [check_mul(v) for v in values]
+    vals = check_mul_table(values)
     if not vals:
         raise QuantLogicError("EMPTY_LIST", "p_sum of an empty list")
     if sp.magnitude == 0.0:
@@ -281,10 +287,10 @@ def add_quantifier(polarity: Polarity, p: float, weights, values) -> AddReal:
     the logical order is reversed); magnitude 0 gives the weighted arithmetic
     sum, with mixed-infinity conflicts resolved per polarity (cotensor for
     existential, tensor for universal).  p, the weights and the values are
-    checked as ``SignedP``, ``Space`` and ``check_add`` check them.
+    checked as ``SignedP``, ``Space`` and ``check_add_table`` check them.
     """
     sp = SignedP(polarity, float(p))
-    weights, values = list(weights), [check_add(u) for u in values]
+    weights, values = list(weights), check_add_table(values)
     if len(weights) != len(values):
         raise QuantLogicError("VALUE_COUNT", f"{len(values)} values, {len(weights)} weights")
     if weights:  # none at all is an empty support, below
@@ -332,6 +338,7 @@ class Carrier:
     dual: Callable                  # the involution, on tables
     scalar: Callable                # scalar action (k, table) -> k . table
     check: Callable                 # validates a value entering from outside
+    check_table: Callable           # validates a table entering from outside
     napier: Callable                # a value of this carrier -> the other one
     napier_table: Callable          # a table of this carrier -> the other one
     logs: Callable                  # a chunk of values -> their log coordinates
@@ -345,11 +352,11 @@ class Carrier:
 
 
 MUL = Carrier("mul", "add", MUL_CONSTANTS, MUL_TABLES, mul_div_table, mul_dual_table,
-              mul_pow_table, check_mul, napier, napier_table, logs=partial(map, math.log),
-              exp=lambda x: napier_inv(-x), powers=True)
+              mul_pow_table, check_mul, check_mul_table, napier, napier_table,
+              logs=partial(map, math.log), exp=lambda x: napier_inv(-x), powers=True)
 ADD = Carrier("add", "mul", ADD_CONSTANTS, ADD_TABLES, add_div_table, add_dual_table,
-              add_scalar_table, check_add, napier_inv, napier_inv_table, logs=iter,
-              exp=float, powers=False)
+              add_scalar_table, check_add, check_add_table, napier_inv, napier_inv_table,
+              logs=iter, exp=float, powers=False)
 
 
 def carrier(mode: str) -> Carrier:

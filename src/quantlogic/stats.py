@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .environment import AtomTable, make_environment
 from .errors import QuantLogicError
-from .extreal import (INF, AddReal, MulReal, check_add, check_mul, mul_div,
+from .extreal import (INF, AddReal, MulReal, check_add_table, check_mul_table, mul_div,
                       mul_dual, napier)
 from .formulas import Atom, Context, Div, Formula, Quant
 from .pmeans import (ADD, MUL, Polarity, SignedP, ValueVector, escort_quantifier,
@@ -45,11 +45,11 @@ class Distribution:
             raise QuantLogicError("VALUE_COUNT",
                                   f"{len(self.masses)} masses for "
                                   f"{len(self.space)} points")
-        for m in self.masses:
-            check_mul(m)
-            if m > 1.0:
-                raise QuantLogicError("NOT_UNITARY",
-                                      f"mass {m!r} exceeds 1")
+        # a fault before the first mass above 1 is reported first
+        over = next((i for i, m in enumerate(self.masses) if m > 1.0), len(self.masses))
+        check_mul_table(self.masses[:over])
+        if over < len(self.masses):
+            raise QuantLogicError("NOT_UNITARY", f"mass {self.masses[over]!r} exceeds 1")
         total = kahan_sum(w * m for w, m in zip(self.space.weights, self.masses))
         if abs(total - 1.0) > _UNITARY_TOL:
             raise QuantLogicError("NOT_UNITARY",
@@ -72,11 +72,12 @@ class EnergyFunction:
             raise QuantLogicError("VALUE_COUNT",
                                   f"{len(self.energies)} energies for "
                                   f"{len(self.space)} points")
-        for u in self.energies:
-            check_add(u)
-            if u == -INF:
-                raise QuantLogicError("INVALID_VALUE",
-                                      "energies must be finite or +inf")
+        # a fault before the first -inf is reported first
+        us = self.energies
+        cut = us.index(-INF) if -INF in us else len(us)
+        check_add_table(us[:cut])
+        if cut < len(us):
+            raise QuantLogicError("INVALID_VALUE", "energies must be finite or +inf")
 
 
 def energy_function(space: Space, energies) -> EnergyFunction:

@@ -133,6 +133,18 @@ def test_eval_malformed_environment(tmp_path, capsys, doc):
     assert err.startswith("error[ENV_FORMAT]")
 
 
+@pytest.mark.parametrize("key", ["spaces", "atoms"])
+@pytest.mark.parametrize("value", [[], 0, "", False], ids=["list", "zero", "string", "false"])
+def test_eval_environment_sections_must_be_objects(tmp_path, capsys, key, value):
+    doc = {"mode": "mul", "spaces": {}, "atoms": {}}
+    path = tmp_path / "env.json"
+    for doc[key], rc_want in ((None, 0), (value, 1)):  # null reads as empty
+        path.write_text(json.dumps(doc))
+        rc, _, err = run(capsys, "eval", "--env", str(path), "true")
+        assert rc == rc_want
+    assert err.startswith("error[ENV_FORMAT]")
+
+
 def test_eval_unknown_atom(envfile, capsys):
     rc, _, err = run(capsys, "eval", "--env", envfile, "zeta(x)")
     assert rc == 1

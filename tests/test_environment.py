@@ -1,11 +1,15 @@
 """The environment JSON codec."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantlogic import (INF, QuantLogicError, environment_from_dict, environment_to_dict,
-                        load_environment, save_environment)
+                        extreal, load_environment, save_environment, translate_environment)
+from quantlogic import environment
+from quantlogic.pmeans import carrier
 
 
 @pytest.mark.parametrize("mode, values", [
@@ -43,3 +47,79 @@ def test_unreadable_json_is_a_format_error(tmp_path, text):
     with pytest.raises(QuantLogicError) as err:
         load_environment(str(path))
     assert err.value.code == "ENV_FORMAT"
+
+
+# ---------------------------------------------------------------------------
+# the table codec: a few passes per table, the scalar codec where they fail
+# ---------------------------------------------------------------------------
+
+CLEAN = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, INF, -INF, "inf", "-inf"]),
+    st.integers(-(10 ** 6), 10 ** 6),
+)
+DIRTY = st.one_of(
+    st.floats(),                                   # JSON NaN included
+    st.integers(),
+    st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 1024, math.nan]),
+    st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
+    st.sampled_from(["inf", " -inf ", "nan", "1"]),
+)
+WHERE = "atom 'f'"
+
+
+def outcome(codec, values, mode):
+    """The decoded and checked values as float.hex, or the first fault."""
+    try:
+        return [x.hex() for x in codec(values, mode)]
+    except QuantLogicError as err:
+        return err.code, err.message
+
+
+def scalar_codec(values, mode):
+    decoded = [environment._decode_number(v, WHERE) for v in values]
+    return [carrier(mode).check(x) for x in decoded]
+
+
+def table_codec(values, mode):
+    return carrier(mode).check_table(environment._decode_table(values, WHERE))
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(CLEAN, max_size=12) | st.lists(CLEAN | DIRTY, max_size=12),
+       mode=st.sampled_from(["mul", "add"]))
+def test_the_table_codec_matches_the_scalar_codec(values, mode):
+    assert outcome(table_codec, values, mode) == outcome(scalar_codec, values, mode)
+
+
+@pytest.fixture
+def scalar_codec_calls(monkeypatch):
+    """The number of calls made so far to the scalar codec: _decode_number,
+    check_mul and check_add."""
+    calls = [0]
+    for module, name in ((environment, "_decode_number"), (extreal, "check_mul"),
+                         (extreal, "check_add")):
+        def spy(*args, _fn=getattr(module, name)):
+            calls[0] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode, row", [
+    ("mul", [0, 1.5, "inf", -0.0, 2 ** 40]),
+    ("add", [0, -1.5, "inf", "-inf", -0.0]),  # both infinities: the sum is NaN
+])
+def test_clean_tables_make_no_scalar_codec_call(tmp_path, scalar_codec_calls, mode, row):
+    n = 10_000
+    values = [row[i % len(row)] for i in range(n)]
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps({
+        "mode": mode, "spaces": {"I": {"points": list(range(n)), "weights": [0.5] * n}},
+        "atoms": {"f": {"context": ["I"], "values": values}}}))
+    env = load_environment(str(path))
+    assert scalar_codec_calls[0] == 0
+    translate_environment(translate_environment(env))
+    assert scalar_codec_calls[0] == 0
+    assert [x.hex() for x in env.atoms["f"].values] == \
+        [x.hex() for x in scalar_codec(values, mode)]

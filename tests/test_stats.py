@@ -291,3 +291,16 @@ def test_distribution_validation():
     with pytest.raises(QuantLogicError) as err:
         renyi_entropy(distribution(space, (0.5, 0.5)), -2.0)
     assert err.value.code == "INVALID_P"
+
+
+@pytest.mark.parametrize("make, values, message", [
+    (distribution, (2.0, -1.0), "mass 2.0 exceeds 1"),
+    (distribution, (-1.0, 2.0), "multiplicative values are nonnegative, got -1.0"),
+    (distribution, (math.nan, 2.0), "NaN is not a carrier value"),
+    (energy_function, (-INF, math.nan), "energies must be finite or +inf"),
+    (energy_function, (math.nan, -INF), "NaN is not a carrier value"),
+])
+def test_the_first_fault_is_reported(make, values, message):
+    with pytest.raises(QuantLogicError) as err:
+        make(counting_space(["a", "b"]), values)
+    assert err.value.message == message
