@@ -11,7 +11,8 @@ doctrine   run one of the entailment diagnostics (reflexivity, adjunction,
 translate  rewrite a formula into the other carrier
 
 Exit codes: 0 success (or: the doctrine check came out as expected),
-1 input/usage error, 2 doctrine check mismatch.
+1 input/usage error or failed output write (OUTPUT_IO), 2 doctrine check
+mismatch.
 """
 
 from __future__ import annotations
@@ -337,8 +338,8 @@ def main(argv=None) -> int:
     except QuantLogicError as exc:
         print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error[ENV_IO]: {exc}", file=sys.stderr)
+    except OSError as exc:  # load_environment reports its own, so this one is writing output
+        print(f"error[OUTPUT_IO]: cannot write the output: {exc}", file=sys.stderr)
         return 1
 
 

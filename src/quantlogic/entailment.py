@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import QuantLogicError
 from .extreal import INF, MulReal, check_mul_table, mul_div, mul_tensor
-from .pmeans import ValueVector, exists_p, forall_p, kahan_sum, p_mean
+from .pmeans import ValueVector, exists_p, forall_p, kahan_sum, p_mean, value_vector
 from .spaces import PointMap, Space, make_space, product_space
 
 _REL_TOL = 1e-9
@@ -43,12 +43,17 @@ class EntailmentReport:
         return self.verdict == "holds"
 
 
-def _rel_close(a: float, b: float, tol: float = _REL_TOL) -> bool:
+def _rel_close(a: float, b: float) -> bool:
     if a == b:
         return True
     if math.isinf(a) or math.isinf(b):
         return False
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
+
+
+def _above(a: float, b: float) -> bool:
+    """Whether a exceeds b by more than the absolute tolerance (scaled by b)."""
+    return a > b + _ABS_TOL * max(1.0, b if b != INF else 1.0)
 
 
 def _gap(lhs: float, rhs: float) -> float:
@@ -57,8 +62,8 @@ def _gap(lhs: float, rhs: float) -> float:
 
 def entails(space: Space, phi, psi, p: float = 1.0) -> MulReal:
     """Universal p-mean of the residuals phi(i) -o psi(i) over the space."""
-    phi = ValueVector(space, tuple(float(v) for v in phi))
-    psi = ValueVector(space, tuple(float(v) for v in psi))
+    phi = value_vector(space, phi)
+    psi = value_vector(space, psi)
     ratios = tuple(mul_div(a, b) for a, b in zip(phi.values, psi.values))
     return p_mean(forall_p(p), ValueVector(space, ratios))
 
@@ -126,7 +131,7 @@ def _transitivity_report(space, phi, psi, sigma, p, source) -> EntailmentReport 
     e2 = entails(space, psi, sigma, p)
     e3 = entails(space, phi, sigma, p)
     lhs = mul_tensor(e1, e2)
-    if lhs > e3 + _ABS_TOL * max(1.0, e3 if e3 != INF else 1.0):
+    if _above(lhs, e3):
         return EntailmentReport(
             "transitivity", lhs, e3, _gap(lhs, e3), "violated",
             {"phi": phi, "psi": psi, "sigma": sigma, "p": p, "source": source,
@@ -201,10 +206,7 @@ def pushforward_density(f: PointMap, phi) -> tuple[MulReal, ...]:
             out.append(0.0)
             continue
         terms = [mul_tensor(phi[i], f.source.weights[i]) for i in f.fiber(j)]
-        if any(t == INF for t in terms):
-            out.append(INF)
-        else:
-            out.append(mul_div(f.target.weights[j], kahan_sum(terms)))
+        out.append(mul_div(f.target.weights[j], kahan_sum(terms)))
     return tuple(out)
 
 
@@ -220,10 +222,8 @@ def laxity_check(f: PointMap, phi, psi) -> EntailmentReport:
                 zip(pushforward_density(f, phi), pushforward_density(f, psi)))
     product = tuple(mul_tensor(a, b) for a, b in zip(phi, psi))
     rhs = pushforward_density(f, product)
-    def above(a, b):
-        return a > b + _ABS_TOL * max(1.0, b if b != INF else 1.0)
-    lax_fails = any(above(a, b) for a, b in zip(lhs, rhs))
-    colax_fails = any(above(b, a) for a, b in zip(lhs, rhs))
+    lax_fails = any(_above(a, b) for a, b in zip(lhs, rhs))
+    colax_fails = any(_above(b, a) for a, b in zip(lhs, rhs))
     verdict = "violated" if (lax_fails or colax_fails) else "holds"
     return EntailmentReport(
         "laxity", max(lhs), max(rhs), _gap(max(lhs), max(rhs)), verdict,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import QuantLogicError
 from .extreal import INF, INF_TOKENS
-from .pmeans import carrier, live
+from .pmeans import carrier
 from .spaces import Space, make_space
 
 
@@ -52,7 +52,7 @@ class Environment:
 def make_environment(mode: str, spaces: dict[str, Space],
                      atoms: dict[str, AtomTable]) -> Environment:
     """Validate and build an Environment; atom values are stored as floats."""
-    check = live(carrier(mode).check_table)
+    check = carrier(mode).check_table
     checked: dict[str, AtomTable] = {}
     for name, table in atoms.items():
         size = 1
@@ -70,11 +70,14 @@ def make_environment(mode: str, spaces: dict[str, Space],
     return Environment(mode, dict(spaces), checked)
 
 
+_TOKEN_VALUES = {token: value for value, token in INF_TOKENS.items()}
+
+
 def _decode_number(x, where: str) -> float:
     if isinstance(x, str):
-        for value, token in INF_TOKENS.items():
-            if x.strip() == token:
-                return value
+        value = _TOKEN_VALUES.get(x.strip())
+        if value is not None:
+            return value
         raise QuantLogicError("ENV_FORMAT", f"{where}: bad value token {x!r}")
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise QuantLogicError("ENV_FORMAT", f"{where}: expected a number, got {x!r}")
@@ -82,9 +85,6 @@ def _decode_number(x, where: str) -> float:
         return float(x)
     except OverflowError:  # an integer beyond the double range, read as "1e400" is
         return INF if x > 0 else -INF
-
-
-_TOKEN_VALUES = {token: value for value, token in INF_TOKENS.items()}
 
 
 def _decode_table(xs: list, where: str) -> tuple[float, ...]:

@@ -8,9 +8,9 @@ multiplicative carrier under ``napier`` (x -> -log x), and every additive
 operation here is, by construction, the napier conjugate of its multiplicative
 counterpart.
 
-All values are plain Python floats.  The corner cases (0 * inf and friends)
-are decided by explicit case analysis so that IEEE never gets a chance to
-produce a NaN; NaN is rejected at the boundaries where values enter
+All values are plain Python floats.  The scalar operations decide the corner
+cases (0 * inf and friends) by explicit case analysis, and no operation
+returns a NaN; NaN is rejected at the boundaries where values enter
 (``check_mul`` / ``check_add``, their table forms, ``parse_value``), which
 keeps every operation total.
 
@@ -61,9 +61,7 @@ def check_mul(x: float) -> MulReal:
 
     The carrier has one zero: -0.0 reads as 0.0.
     """
-    x = float(x)
-    if math.isnan(x):
-        raise QuantLogicError("INVALID_VALUE", "NaN is not a carrier value")
+    x = check_add(x)
     if x < 0.0:
         raise QuantLogicError("INVALID_VALUE",
                               f"multiplicative values are nonnegative, got {x!r}")
@@ -116,9 +114,7 @@ def parse_value(text: str) -> float:
         x = float(t)
     except ValueError:
         raise QuantLogicError("INVALID_VALUE", f"not a value literal: {text!r}") from None
-    if math.isnan(x):
-        raise QuantLogicError("INVALID_VALUE", "NaN is not a carrier value")
-    return x
+    return check_add(x)
 
 
 # The value syntax (formulas, environment JSON, CLI output) spells the

@@ -22,14 +22,14 @@ factors in [0, inf).  Named constants: false, true, zero, one, top, bot.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, TypeVar
 
 from .errors import FormulaSyntaxError, QuantLogicError
-from .extreal import INF, MUL_CONSTANTS, OpCode, format_value
-from .pmeans import ADD, MUL, Polarity, SignedP, carrier, live
+from .extreal import (INF, MUL_CONSTANTS, OpCode, check_add, check_mul, format_value,
+                      napier, napier_inv)
+from .pmeans import Polarity, SignedP, carrier
 from .spaces import Space
 
 T = TypeVar("T")
@@ -316,7 +316,7 @@ class _Parser:
         self.expect("CARET", "'^' after quantifier")
         ptok = self.expect("NUMBER", "a quantifier magnitude")
         p = float(ptok.value)
-        if math.isnan(p) or p < 0.0:
+        if p < 0.0:
             raise FormulaSyntaxError("quantifier magnitude must be in [0, inf]", ptok.pos)
         self.expect("LPAREN", "'(' before the bound variable")
         var = self.ident("a bound variable")
@@ -457,7 +457,7 @@ def check_wellformed(f: Formula, ctx: Context, env) -> Formula:
     offending node in pre-order, left to right.  Magnitudes and scalar
     factors of code-built nodes meet the parser's ranges here.
     """
-    check = live(carrier(env.mode).check)
+    check = carrier(env.mode).check
     outer = {v: s.name for v, s in ctx.entries}
     for node, bound in walk(f):
         if isinstance(node, Const):
@@ -535,11 +535,12 @@ def translate_formula(f: Formula, direction: str) -> Formula:
     quantifiers carry over unchanged (their interpretations are already
     napier conjugates of each other).
     """
-    source = {"to_add": MUL, "to_mul": ADD}.get(str(direction))
-    if source is None:
+    # the extreal names are looked up per call, so a rebound one is seen
+    pair = {"to_add": (check_mul, napier), "to_mul": (check_add, napier_inv)}.get(str(direction))
+    if pair is None:
         raise QuantLogicError("INVALID_DIRECTION",
                               f"direction must be to_add or to_mul, got {direction!r}")
-    check, conv = live(source.check), live(source.napier)
+    check, conv = pair
 
     def convert(node: Formula, bound: Binders, kids: list) -> Formula:
         if isinstance(node, Const) and not isinstance(node.value, str):

@@ -54,7 +54,7 @@ from .extreal import (ADD_CONSTANTS, ADD_TABLES, INF, MUL_CONSTANTS, MUL_TABLES,
                       AddReal, MulReal, OpCode, add_div_table, add_dual_table,
                       add_scalar_table, check_add, check_add_table, check_mul,
                       check_mul_table, exact_float, kahan_sum, mul_div_table,
-                      mul_dual_table, mul_pow_table, napier, napier_inv, napier_inv_table,
+                      mul_dual_table, mul_pow_table, napier_inv, napier_inv_table,
                       napier_table)
 from .spaces import Space, make_space
 
@@ -97,7 +97,7 @@ class ValueVector:
                 "VALUE_COUNT",
                 f"{len(self.values)} values for {len(self.space)} points of "
                 f"space {self.space.name!r}")
-        check_mul_table(self.values)
+        object.__setattr__(self, "values", check_mul_table(self.values))
 
 
 def value_vector(space: Space, values: Iterable[float]) -> ValueVector:
@@ -322,8 +322,7 @@ class Carrier:
     field.  Look one up with ``carrier(mode)`` where a mode string comes in.
     The connectives and ``napier_table`` map whole tables (lists of values),
     and redo their corner cells by the module's scalar operations (see
-    ``extreal``).  Call the scalar function fields through ``live``, so that
-    rebinding the module function (a mock, a profiler) reaches every caller.
+    ``extreal``).
 
     The one quantifier kernel reads from a carrier only how values are
     represented: in MUL by their logs, with a direct sum of powers allowed;
@@ -339,7 +338,6 @@ class Carrier:
     scalar: Callable                # scalar action (k, table) -> k . table
     check: Callable                 # validates a value entering from outside
     check_table: Callable           # validates a table entering from outside
-    napier: Callable                # a value of this carrier -> the other one
     napier_table: Callable          # a table of this carrier -> the other one
     logs: Callable                  # a chunk of values -> their log coordinates
     exp: Callable                   # a log coordinate -> its value
@@ -352,10 +350,10 @@ class Carrier:
 
 
 MUL = Carrier("mul", "add", MUL_CONSTANTS, MUL_TABLES, mul_div_table, mul_dual_table,
-              mul_pow_table, check_mul, check_mul_table, napier, napier_table,
+              mul_pow_table, check_mul, check_mul_table, napier_table,
               logs=partial(map, math.log), exp=lambda x: napier_inv(-x), powers=True)
 ADD = Carrier("add", "mul", ADD_CONSTANTS, ADD_TABLES, add_div_table, add_dual_table,
-              add_scalar_table, check_add, check_add_table, napier_inv, napier_inv_table,
+              add_scalar_table, check_add, check_add_table, napier_inv_table,
               logs=iter, exp=float, powers=False)
 
 
@@ -365,8 +363,3 @@ def carrier(mode: str) -> Carrier:
         if c.mode == mode:
             return c
     raise QuantLogicError("INVALID_MODE", f"mode must be 'mul' or 'add', got {mode!r}")
-
-
-def live(fn: Callable) -> Callable:
-    """The function fn's module now binds to fn's name (fn itself unless patched)."""
-    return fn.__globals__[fn.__name__]

@@ -20,7 +20,7 @@ from .errors import QuantLogicError
 from .extreal import INF, MulReal
 from .formulas import (Atom, Binders, BinOp, Context, Div, Dual, Formula, Quant,
                        check_wellformed, fold)
-from .pmeans import MUL, add_quantifier, carrier, live  # noqa: F401 (re-export)
+from .pmeans import MUL, add_quantifier, carrier  # noqa: F401 (re-export)
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str) -> Predicat
             if isinstance(node, Atom):
                 return _atom_table(node, names + tuple(bound), here, env)
             value = node.value
-            value = c.constants[value] if isinstance(value, str) else live(c.check)(value)
+            value = c.constants[value] if isinstance(value, str) else c.check(value)
             return [value] * math.prod(here)
         if isinstance(node, BinOp):
             return c.ops[node.op](*kids)

@@ -94,10 +94,7 @@ def counting_space(points, name: str = "S") -> Space:
 def uniform_space(points, name: str = "S") -> Space:
     """Probability space with equal weights."""
     pts = _point_labels(points)
-    n = len(pts)
-    if n == 0:
-        raise QuantLogicError("EMPTY_SPACE", f"space {name!r} has no points")
-    return Space(name, pts, (1.0 / n,) * n)
+    return Space(name, pts, tuple(1.0 / len(pts) for _ in pts))  # no points: EMPTY_SPACE
 
 
 def product_space(a: Space, b: Space) -> Space:

@@ -412,3 +412,90 @@ def test_installed_entry_point(envfile, tmp_path):
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "# true [mul]\n()\tinf\n"
+
+
+def test_eval_definite_separator(envfile, capsys):
+    rc, out, _ = run(capsys, "eval", "--env", envfile, "f(x) \\/ true",
+                     "--separator", "definite")
+    assert rc == 0
+    assert out.split("\n")[1] == "a\tinf\ttrue"
+    rc, out, _ = run(capsys, "eval", "--env", envfile, "f(x)", "--separator", "definite")
+    assert rc == 0
+    assert out.split("\n")[1] == "a\t3\tfalse"
+
+
+def test_eval_unknown_separator(envfile, capsys):
+    rc, out, err = run(capsys, "eval", "--env", envfile, "f(x)", "--separator", "strict")
+    assert rc == 1
+    assert err.startswith("error[INVALID_SEPARATOR]")
+    assert out == ""
+
+
+@pytest.mark.parametrize("grid", ["a:1:3", "0.5:1:x", "0.5:1:0", "0.5:inf:3", "-inf:1:3"])
+def test_plot_data_grid_formats(envfile, capsys, grid):
+    rc, out, err = run(capsys, "plot-data", "--env", envfile, "f", f"--grid={grid}")
+    assert rc == 1
+    assert err.startswith("error[GRID_FORMAT]")
+    assert out == ""
+
+
+def test_plot_data_grid_of_one_point(envfile, capsys):
+    rc, out, _ = run(capsys, "plot-data", "--env", envfile, "f", "--grid", "2:3:1")
+    assert rc == 0
+    header, *rows = out.strip().split("\n")
+    assert len(rows) == 1 and rows[0].startswith("2,")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["softmax", "zeta"], "UNKNOWN_ATOM"),
+    (["entropy", "zeta"], "UNKNOWN_ATOM"),
+    (["plot-data", "zeta"], "UNKNOWN_ATOM"),
+    (["softmax", "r"], "ATOM_ARITY"),
+    (["entropy", "r"], "ATOM_ARITY"),
+    (["plot-data", "r"], "ATOM_ARITY"),
+    (["plot-data", "f", "K"], "ATOM_ARITY"),
+])
+def test_atom_commands_check_the_atom(envfile, capsys, argv, code):
+    rc, out, err = run(capsys, argv[0], "--env", envfile, *argv[1:])
+    assert rc == 1
+    assert err.startswith(f"error[{code}]")
+    assert out == ""
+
+
+def test_doctrine_reflexivity_unknown_space(envfile, capsys):
+    rc, _, err = run(capsys, "doctrine", "--env", envfile, "reflexivity", "--space", "Nope")
+    assert rc == 1
+    assert err.startswith("error[UNKNOWN_SPACE]")
+
+
+def test_doctrine_reflexivity_without_spaces(tmp_path, capsys):
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps({"mode": "mul"}))
+    rc, _, err = run(capsys, "doctrine", "--env", str(path), "reflexivity")
+    assert rc == 1
+    assert err.startswith("error[UNKNOWN_SPACE]")
+
+
+def test_doctrine_reflexivity_of_an_atom(envfile, capsys):
+    rc, out, _ = run(capsys, "doctrine", "--env", envfile, "reflexivity",
+                     "--space", "I", "--atom", "f")
+    assert rc == 0
+    first = out.split("\n")[0]
+    assert "lhs=0.25 rhs=0.25" in first and "verdict=holds" in first
+
+
+def test_a_failed_output_write_is_output_io(envfile, capsys, monkeypatch):
+    # the environment was read, so the error names the output, not the file
+    class BrokenStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    rc = main(["eval", "--env", envfile, "f(x)"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error[OUTPUT_IO]") and "Broken pipe" in err
+    assert "Traceback" not in err

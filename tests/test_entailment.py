@@ -280,3 +280,17 @@ def test_report_holds_property():
     space = uniform_space(2)
     report = reflexivity_check(space, (1.0, 2.0), 1.0)
     assert report.holds is (report.verdict == "holds")
+
+
+def test_pushforward_checks_the_value_count():
+    f = PointMap(make_space(["i1", "i2"], [0.5, 0.5]), make_space(["pt"], [1.0]), (0, 0))
+    with pytest.raises(QuantLogicError) as err:
+        pushforward_density(f, (1.0, 2.0, 3.0))
+    assert err.value.code == "VALUE_COUNT"
+
+
+def test_reflexivity_of_an_all_zero_phi():
+    # 0 -o 0 is inf at every point, so the graded reflexivity is lost
+    report = reflexivity_check(uniform_space(3), (0.0, 0.0, 0.0), 2.0)
+    assert report.lhs == INF and report.rhs == 1.0
+    assert report.verdict == "violated"

@@ -123,3 +123,13 @@ def test_clean_tables_make_no_scalar_codec_call(tmp_path, scalar_codec_calls, mo
     assert scalar_codec_calls[0] == 0
     assert [x.hex() for x in env.atoms["f"].values] == \
         [x.hex() for x in scalar_codec(values, mode)]
+
+
+@pytest.mark.parametrize("context, code", [(["I", "Nope"], "UNKNOWN_SPACE"),
+                                           (["I", 1], "ENV_FORMAT")])
+def test_atom_contexts_name_declared_spaces(context, code):
+    doc = {"spaces": {"I": {"points": ["a"], "weights": [1]}},
+           "atoms": {"f": {"context": context, "values": [1]}}}
+    with pytest.raises(QuantLogicError) as err:
+        environment_from_dict(doc)
+    assert err.value.code == code

@@ -359,3 +359,10 @@ def test_translate_round_trip_random():
         f = random_formula(rng, depth=4)
         there_and_back = translate_formula(translate_formula(f, "to_add"), "to_mul")
         assert formulas_close(there_and_back, f, 1e-12)
+
+
+def test_a_quantifier_needs_in():
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse("E^1 (x on I). f(x)")
+    assert err.value.code == "SYNTAX_ERROR"
+    assert "expected 'in'" in str(err.value)

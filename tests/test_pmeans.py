@@ -21,6 +21,7 @@ from quantlogic import (
     ValueVector,
     add_quantifier,
     check_mul,
+    counting_space,
     exists_p,
     forall_p,
     make_space,
@@ -385,3 +386,11 @@ def test_huge_weights_keep_representable_results():
     # a large p * u no longer meets its own infinity as inf - inf
     assert add_quantifier(Polarity.EXISTENTIAL, 2.0, (1.0,), (-1e308,)) == -1e308
     assert rel_close(p_mean(exists_p(1e306), value_vector(huge, [10.0, 1.0])), 10.0, 1e-12)
+
+
+def test_value_vectors_keep_the_checked_values():
+    # the multiplicative carrier has one zero, and its values are floats
+    vv = ValueVector(counting_space(2), (-0.0, 1.0))
+    assert vv.values[0].hex() == "0x0.0p+0"
+    assert p_mean(forall_p(INF), vv).hex() == "0x0.0p+0"
+    assert [type(v) for v in ValueVector(counting_space(2), (1, True)).values] == [float, float]

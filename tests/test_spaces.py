@@ -167,3 +167,10 @@ def test_counting_and_uniform_shorthand():
     assert counting_space(3).weights == (1.0, 1.0, 1.0)
     assert uniform_space(4).points == ("0", "1", "2", "3")
     assert uniform_space(4).is_probability
+
+
+def test_uniform_space_of_no_points():
+    with pytest.raises(QuantLogicError) as err:
+        uniform_space(0)
+    assert err.value.code == "EMPTY_SPACE"
+    assert err.value.message == "space 'S' has no points"

@@ -304,3 +304,9 @@ def test_the_first_fault_is_reported(make, values, message):
     with pytest.raises(QuantLogicError) as err:
         make(counting_space(["a", "b"]), values)
     assert err.value.message == message
+
+
+def test_energy_functions_have_one_energy_per_point():
+    with pytest.raises(QuantLogicError) as err:
+        energy_function(counting_space(3), (1.0, 2.0))
+    assert err.value.code == "VALUE_COUNT"
