@@ -10,6 +10,10 @@ doctrine   run one of the entailment diagnostics (reflexivity, adjunction,
            transitivity-search, laxity)
 translate  rewrite a formula into the other carrier
 
+Values (``--p``, ``t=``, the ends of ``--grid``) are read by ``parse_value``;
+``eval`` types each free variable by the first atom argument naming it and
+leaves every check to ``evaluate``, so faults carry the library's codes.
+
 Exit codes: 0 success (or: the doctrine check came out as expected),
 1 input/usage error or failed output write (OUTPUT_IO), 2 doctrine check
 mismatch.
@@ -31,13 +35,12 @@ from .entailment import (
 )
 from .environment import Environment, load_environment, translate_environment
 from .errors import QuantLogicError
-from .extreal import INF, napier_inv, parse_value, spell_value
+from .extreal import INF, VALUE_LITERAL, napier_inv, parse_value, spell_value
 from .formulas import (
     Atom,
     Context,
     Formula,
     format_formula,
-    free_variables,
     parse,
     translate_formula,
     walk,
@@ -67,14 +70,19 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise QuantLogicError("USAGE", message)
 
-    # argparse reads a word that starts with "-" as an option unless it is a
-    # plain negative decimal; any value literal (-inf, -1e3) is an argument.
+    # argparse takes a word that starts with "-" for an option; one that begins
+    # with a value literal (-inf, -1e3, the grid -1:1:3) is an argument.
     def _parse_optional(self, arg_string):
-        try:
-            parse_value(arg_string)
-        except QuantLogicError:
-            return super()._parse_optional(arg_string)
-        return None
+        if VALUE_LITERAL.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)  # argparse reports a ValueError as a usage error too
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
 
 
 def _parse_separator(text: str) -> Separator:
@@ -89,13 +97,11 @@ def _parse_separator(text: str) -> Separator:
 
 
 def _parse_grid(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise QuantLogicError("GRID_FORMAT", "grid must be lo:hi:n")
     try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise QuantLogicError("GRID_FORMAT", str(exc)) from None
+        lo, hi, n = text.split(":")
+        lo, hi, n = parse_value(lo), parse_value(hi), int(n)
+    except (QuantLogicError, ValueError):
+        raise QuantLogicError("GRID_FORMAT", f"grid must be lo:hi:n, got {text!r}") from None
     if n < 1 or not math.isfinite(lo) or not math.isfinite(hi):
         raise QuantLogicError("GRID_FORMAT", "need finite lo, hi and n >= 1")
     if n == 1:
@@ -105,25 +111,15 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _infer_context(formula: Formula, env: Environment) -> Context:
-    """Assign each free variable the space its first atom occurrence declares."""
-    found: dict[str, str] = {}
+    """Type each free variable by the first known atom argument naming it.
+    Raises nothing: evaluate reports every fault, the first in pre-order."""
+    found: dict[str, Space] = {}
     for f, bound in walk(formula):
-        if isinstance(f, Atom):
-            table = env.atoms.get(f.name)
-            if table is None:
-                raise QuantLogicError("UNKNOWN_ATOM",
-                                      f"atom {f.name!r} not in environment")
-            for arg, space_name in zip(f.args, table.context):
-                if arg not in bound and arg not in found:
-                    found[arg] = space_name
-    entries = []
-    for var in free_variables(formula):
-        if var not in found:
-            raise QuantLogicError(
-                "CANNOT_INFER_CONTEXT",
-                f"free variable {var!r} is not applied to any known atom")
-        entries.append((var, env.spaces[found[var]]))
-    return Context(tuple(entries))
+        if isinstance(f, Atom) and f.name in env.atoms:
+            for arg, space_name in zip(f.args, env.atoms[f.name].context):
+                if arg not in bound:
+                    found.setdefault(arg, env.spaces[space_name])
+    return Context(tuple(found.items()))
 
 
 def _atom_vector(env: Environment, atom: str, space: str | None = None) -> ValueVector:
@@ -203,7 +199,7 @@ def _cmd_entropy(args) -> int:
     phi = Distribution(vec.space, vec.values)
     h = renyi_entropy(phi, args.p)
     d = hill_diversity(phi, args.p)
-    print(f"H={h:.12f}, D={d:.12f}")
+    print(f"H={spell_value(h, '%.12f')}, D={spell_value(d, '%.12f')}")
     exp_h = napier_inv(-h)
     gap = 0.0 if exp_h == d else abs(exp_h - d)
     print(f"check exp(H)={_fmt(exp_h)} D={_fmt(d)} gap={_fmt(gap)}")
@@ -308,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                                          "transitivity-search", "laxity"))
     p_doc.add_argument("--p", type=parse_value, default=1.0)
     p_doc.add_argument("--seed", type=int, default=0)
-    p_doc.add_argument("--trials", type=int, default=100)
+    p_doc.add_argument("--trials", type=_positive_int, default=100)
     p_doc.add_argument("--atom")
     p_doc.add_argument("--space")
     p_doc.add_argument("--space2")

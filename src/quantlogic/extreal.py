@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import add, mul
@@ -107,14 +108,17 @@ def check_add_table(xs: Iterable) -> tuple:
     return tuple([check_add(x) for x in xs])
 
 
+# The one value-literal grammar, of parse_value, the formula tokenizer and the CLI.
+VALUE_LITERAL = re.compile(r"-?inf|-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+
+
 def parse_value(text: str) -> float:
-    """Parse a value token: a decimal literal, ``inf`` or ``-inf``."""
+    """Parse a ``VALUE_LITERAL`` with whitespace around: ``inf``, ``-inf`` or an
+    ASCII decimal (``Infinity``, ``+1``, ``.5``, ``1_0`` are INVALID_VALUE)."""
     t = text.strip()
-    try:
-        x = float(t)
-    except ValueError:
-        raise QuantLogicError("INVALID_VALUE", f"not a value literal: {text!r}") from None
-    return check_add(x)
+    if VALUE_LITERAL.fullmatch(t) is None:
+        raise QuantLogicError("INVALID_VALUE", f"not a value literal: {text!r}")
+    return float(t)
 
 
 # The value syntax (formulas, environment JSON, CLI output) spells the

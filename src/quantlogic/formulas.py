@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, TypeVar
 
 from .errors import FormulaSyntaxError, QuantLogicError
-from .extreal import (INF, MUL_CONSTANTS, OpCode, check_add, check_mul, format_value,
-                      napier, napier_inv)
+from .extreal import (INF, MUL_CONSTANTS, VALUE_LITERAL, OpCode, check_add, check_mul,
+                      format_value, napier, napier_inv)
 from .pmeans import Polarity, SignedP, carrier
 from .spaces import Space
 
@@ -232,11 +232,10 @@ _PUNCT = {s: ("OP", op) for op, s in OP_TOKENS.items()} | {
                                  ("LPAREN", "("), ("RPAREN", ")"),
                                  ("DOT", "."), ("COMMA", ","))}
 
-# After whitespace: a number (group 1), a name (2), a fixed spelling, longest
-# first (3), or else the one character no token starts with, "" at the end (4).
-_TOKEN_RE = re.compile(
-    r"\s*(?:(-inf|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|(%s)|(.?))"
-    % "|".join(map(re.escape, sorted(_PUNCT, key=len, reverse=True))), re.DOTALL)
+# After whitespace: a name (group 1; "inf" is one), a value literal (2), a fixed spelling,
+# longest first (3), or else the one character no token starts with, "" at the end (4).
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(%s)|(%s)|(.?))" % (
+    VALUE_LITERAL.pattern, "|".join(map(re.escape, sorted(_PUNCT, key=len, reverse=True)))))
 
 
 class _Token(NamedTuple):
@@ -254,9 +253,9 @@ def _tokenize(text: str) -> list[_Token]:
         pos, i = m.span(group)
         s = m[group]
         if group == 1:
-            toks.append(_Token("NUMBER", -INF if s == "-inf" else float(s), pos))
-        elif group == 2:
             toks.append(_Token("NUMBER", INF, pos) if s == "inf" else _Token("IDENT", s, pos))
+        elif group == 2:
+            toks.append(_Token("NUMBER", float(s), pos))
         elif group == 3:
             kind, value = _PUNCT[s]
             if s[0] == "(" and toks and toks[-1].kind == "IDENT" \
@@ -315,8 +314,7 @@ class _Parser:
         pol = QUANTIFIERS[self.next().value]
         self.expect("CARET", "'^' after quantifier")
         ptok = self.expect("NUMBER", "a quantifier magnitude")
-        p = float(ptok.value)
-        if p < 0.0:
+        if ptok.value < 0.0:
             raise FormulaSyntaxError("quantifier magnitude must be in [0, inf]", ptok.pos)
         self.expect("LPAREN", "'(' before the bound variable")
         var = self.ident("a bound variable")
@@ -326,17 +324,16 @@ class _Parser:
         space = self.ident("a space name")
         self.expect("RPAREN", "')' after the space name")
         self.expect("DOT", "'.' before the quantifier body")
-        return Quant(pol, p, var, space, self.formula())
+        return Quant(pol, ptok.value, var, space, self.formula())
 
     def scalar(self) -> Formula:
         ktok = self.next()
-        k = float(ktok.value)
-        if k < 0.0:
+        if ktok.value < 0.0:
             raise FormulaSyntaxError("scalar factor must be nonnegative", ktok.pos)
-        if k == INF:
+        if ktok.value == INF:
             raise FormulaSyntaxError("scalar factor must be finite", ktok.pos)
         self.expect("DOT", "'.' after the scalar factor")
-        return Scalar(k, self.formula())
+        return Scalar(ktok.value, self.formula())
 
     def chain(self) -> Formula:
         left = self.postfix()

@@ -47,10 +47,11 @@ class Distribution:
                                   f"{len(self.space)} points")
         # a fault before the first mass above 1 is reported first
         over = next((i for i, m in enumerate(self.masses) if m > 1.0), len(self.masses))
-        check_mul_table(self.masses[:over])
+        masses = check_mul_table(self.masses[:over])
         if over < len(self.masses):
             raise QuantLogicError("NOT_UNITARY", f"mass {self.masses[over]!r} exceeds 1")
-        total = kahan_sum(w * m for w, m in zip(self.space.weights, self.masses))
+        object.__setattr__(self, "masses", masses)
+        total = kahan_sum(w * m for w, m in zip(self.space.weights, masses))
         if abs(total - 1.0) > _UNITARY_TOL:
             raise QuantLogicError("NOT_UNITARY",
                                   f"masses integrate to {total!r}, not 1")
@@ -75,9 +76,10 @@ class EnergyFunction:
         # a fault before the first -inf is reported first
         us = self.energies
         cut = us.index(-INF) if -INF in us else len(us)
-        check_add_table(us[:cut])
+        energies = check_add_table(us[:cut])
         if cut < len(us):
             raise QuantLogicError("INVALID_VALUE", "energies must be finite or +inf")
+        object.__setattr__(self, "energies", energies)
 
 
 def energy_function(space: Space, energies) -> EnergyFunction:

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
@@ -15,6 +17,7 @@ from quantlogic import FormulaSyntaxError, parse
 from quantlogic.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 ENV_DOC = {
     "mode": "mul",
@@ -154,7 +157,15 @@ def test_eval_unknown_atom(envfile, capsys):
 def test_eval_uninferrable_context(envfile, capsys):
     rc, _, err = run(capsys, "eval", "--env", envfile, "f(x, y)")
     assert rc == 1
-    assert err.startswith("error[CANNOT_INFER_CONTEXT]")
+    assert err.startswith("error[ATOM_ARITY]")
+
+
+def test_eval_reports_the_first_fault_in_pre_order(envfile, capsys):
+    # the quantifier's unknown space comes before the unknown atom zz
+    rc, out, err = run(capsys, "eval", "--env", envfile, "E^1 (x in Nope). f(x) (x) zz(y)")
+    assert rc == 1
+    assert err.startswith("error[UNKNOWN_SPACE]")
+    assert out == ""
 
 
 BIG_WEIGHTS_DOC = {
@@ -250,7 +261,9 @@ def test_plot_data_empty_support(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grid, code", [(["--grid", "0:1:3"], "P_ZERO_SUM"),
-                                        (["--grid=-1:1:3"], "INVALID_P")])
+                                        (["--grid=-1:1:3"], "INVALID_P"),
+                                        (["--grid", "-1:1:3"], "INVALID_P"),
+                                        (["--grid", "-inf:1:3"], "GRID_FORMAT")])
 def test_plot_data_failing_grid_point_prints_nothing(envfile, capsys, grid, code):
     rc, out, err = run(capsys, "plot-data", "--env", envfile, "f", *grid)
     assert rc == 1
@@ -437,6 +450,55 @@ def test_plot_data_grid_formats(envfile, capsys, grid):
     assert rc == 1
     assert err.startswith("error[GRID_FORMAT]")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["softmax", "f", "--p"], ["entropy", "phi", "--p"],
+                                  ["eval", "f(x)", "--separator"]])
+@pytest.mark.parametrize("text", ["Infinity", "1_0", "+1", ".5", "\u0661", "nan"])
+def test_values_are_read_by_the_literal_grammar(envfile, capsys, argv, text):
+    if argv[0] == "eval":
+        text = "t=" + text
+    rc, out, err = run(capsys, argv[0], "--env", envfile, *argv[1:], text)
+    assert rc == 1
+    assert err.startswith("error[INVALID_VALUE]")
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["adjunction", "--trials", "0"],
+                                  ["adjunction", "--trials", "-5"],
+                                  ["transitivity-search", "--trials", "-3"],
+                                  ["adjunction", "--trials", "x"]])
+def test_trial_counts_are_positive(envfile, capsys, argv):
+    rc, out, err = run(capsys, "doctrine", "--env", envfile, *argv)
+    assert rc == 1
+    assert err.splitlines()[-1].startswith("error[USAGE]: argument --trials")
+    assert out == ""
+
+
+@pytest.mark.parametrize("p", ["2", "inf"])
+def test_entropy_of_a_point_mass_prints_one_zero(tmp_path, capsys, p):
+    doc = {"mode": "mul", "spaces": {"I": {"points": ["a", "b"], "weights": [1, 1]}},
+           "atoms": {"phi": {"context": ["I"], "values": [1, 0]}}}
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(doc))
+    rc, out, _ = run(capsys, "entropy", "--env", str(path), "phi", "--p", p)
+    assert rc == 0
+    assert out.split("\n")[0] == "H=0.000000000000, D=1.000000000000"
+
+
+def _readme_block(lang: str, containing: str) -> str:
+    blocks = re.findall(r"```%s\n(.*?)```" % lang, README.read_text(), re.DOTALL)
+    return next(b for b in blocks if containing in b)
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
+    (tmp_path / "env.json").write_text(_readme_block("json", '"atoms"'))
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in _readme_block("sh", "quantlogic ").splitlines()
+             if line.startswith("quantlogic ")]
+    assert lines
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
 
 
 def test_plot_data_grid_of_one_point(envfile, capsys):

@@ -7,10 +7,12 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from quantlogic import FormulaSyntaxError, format_formula, parse
-from quantlogic.cli import main
+from quantlogic import FormulaSyntaxError, QuantLogicError, format_formula, parse, parse_value
+from quantlogic.cli import _infer_context, main
+from quantlogic.environment import load_environment
+from quantlogic.formulas import _tokenize
 
 # Token spellings and near misses; "²" and "①" pass str.isdigit()
 # but are no decimal digits.  No piece starts with "h", so that no text can
@@ -55,6 +57,43 @@ def test_parse_fails_only_with_syntax_errors_and_round_trips(text):
     except FormulaSyntaxError:
         return
     assert parse(format_formula(f)) == f
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts)
+@example("f(x, y)")
+@example("E^2 (x in I). ef(x) (x) r(y, x)")
+def test_context_inference_raises_nothing(envfile, text):
+    try:
+        f = parse(text)
+    except FormulaSyntaxError:
+        return
+    _infer_context(f, load_environment(envfile))
+
+
+# Pieces of value literals and near misses: other spellings float() reads,
+# non-ASCII digits, and whitespace that str.strip() and the tokenizer skip.
+LITERAL_PIECES = ["-", "+", ".", "_", "e", "E", "inf", "in", "f", "Infinity", "nan",
+                  "0", "1", "25", "9e9", "\u0661", "\u00b2", " ", "\t", "\x1c", "\xa0",
+                  "\u2028", "\u3000"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text() | st.lists(st.sampled_from(LITERAL_PIECES), max_size=6).map("".join))
+def test_value_literals_read_alike_in_values_and_formulas(text):
+    try:
+        value = parse_value(text)
+    except QuantLogicError as exc:
+        assert exc.code == "INVALID_VALUE"
+        value = None
+    try:
+        toks = _tokenize(text)
+    except FormulaSyntaxError:
+        toks = []
+    one_number = [t.kind for t in toks] == ["NUMBER", "EOF"]
+    assert one_number == (value is not None)
+    if one_number:
+        assert toks[0].value.hex() == value.hex()
 
 
 @settings(max_examples=150, deadline=None)

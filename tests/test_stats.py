@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from quantlogic import (
     INF,
+    Distribution,
+    EnergyFunction,
     QuantLogicError,
     ValueVector,
     argmax,
@@ -304,6 +306,14 @@ def test_the_first_fault_is_reported(make, values, message):
     with pytest.raises(QuantLogicError) as err:
         make(counting_space(["a", "b"]), values)
     assert err.value.message == message
+
+
+def test_checked_values_are_stored():
+    # built directly, without the float() of distribution/energy_function
+    phi = Distribution(counting_space(2), (-0.0, 1.0))
+    assert [math.copysign(1.0, m) for m in phi.masses] == [1.0, 1.0]
+    u = EnergyFunction(counting_space(2), (1, True))
+    assert [type(e) for e in u.energies] == [float, float]
 
 
 def test_energy_functions_have_one_energy_per_point():
