@@ -10,7 +10,8 @@ doctrine   run one of the entailment diagnostics (reflexivity, adjunction,
            transitivity-search, laxity)
 translate  rewrite a formula into the other carrier
 
-Values (``--p``, ``t=``, the ends of ``--grid``) are read by ``parse_value``;
+Values (``--p``, ``t=``, the ends of ``--grid``) are read by ``parse_value``,
+and counts and seeds as ASCII-digit integers;
 ``eval`` types each free variable by the first atom argument naming it and
 leaves every check to ``evaluate``, so faults carry the library's codes.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from .entailment import (
@@ -78,8 +80,19 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+# Counts and seeds: the integer part of extreal.VALUE_LITERAL, in ASCII digits
+# (int() would also take "+3", "1_0" and other scripts' digits).
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    n = int(text)  # argparse reports a ValueError as a usage error too
+    n = _integer(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return n
@@ -99,8 +112,8 @@ def _parse_separator(text: str) -> Separator:
 def _parse_grid(text: str) -> list[float]:
     try:
         lo, hi, n = text.split(":")
-        lo, hi, n = parse_value(lo), parse_value(hi), int(n)
-    except (QuantLogicError, ValueError):
+        lo, hi, n = parse_value(lo), parse_value(hi), _integer(n)
+    except (QuantLogicError, ValueError, argparse.ArgumentTypeError):
         raise QuantLogicError("GRID_FORMAT", f"grid must be lo:hi:n, got {text!r}") from None
     if n < 1 or not math.isfinite(lo) or not math.isfinite(hi):
         raise QuantLogicError("GRID_FORMAT", "need finite lo, hi and n >= 1")
@@ -303,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_doc.add_argument("check", choices=("reflexivity", "adjunction",
                                          "transitivity-search", "laxity"))
     p_doc.add_argument("--p", type=parse_value, default=1.0)
-    p_doc.add_argument("--seed", type=int, default=0)
+    p_doc.add_argument("--seed", type=_integer, default=0)
     p_doc.add_argument("--trials", type=_positive_int, default=100)
     p_doc.add_argument("--atom")
     p_doc.add_argument("--space")

@@ -355,12 +355,12 @@ def add_logical_leq(a: AddReal, b: AddReal) -> bool:
 # --------------------------------------------------------------------------
 
 def napier(a: MulReal) -> AddReal:
-    """-log: [0, inf] -> [-inf, +inf]; 0 -> +inf, 1 -> 0, inf -> -inf."""
+    """-log: [0, inf] -> [-inf, +inf]; 0 -> +inf, 1 -> 0 (+0.0), inf -> -inf."""
     if a == 0.0:
         return INF
     if a == INF:
         return -INF
-    return -math.log(a)
+    return 0.0 - math.log(a)  # -log(1) would be -0.0
 
 
 def napier_inv(a: AddReal) -> MulReal:
@@ -499,7 +499,7 @@ def add_scalar_table(k: float, xs: list) -> list:
 
 def napier_table(xs: list) -> list:
     """napier on each cell: 0 comes out NaN from the masked log and is redone."""
-    return _redo_nan(napier, [-math.log(a or NAN) for a in xs], xs)
+    return _redo_nan(napier, [0.0 - math.log(a or NAN) for a in xs], xs)
 
 
 def napier_inv_table(xs: list) -> list:

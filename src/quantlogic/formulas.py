@@ -153,7 +153,8 @@ def rebuild(f: Formula, kids) -> Formula:
     return f
 
 
-def _preorder(f: Formula, left_first: bool) -> list[tuple[Formula, Binders]]:
+def walk(f: Formula) -> list[tuple[Formula, Binders]]:
+    """Pre-order, left to right: each node with its enclosing binders."""
     out: list[tuple[Formula, Binders]] = []
     stack = [(f, {})]
     pop, push, emit = stack.pop, stack.append, out.append
@@ -166,27 +167,32 @@ def _preorder(f: Formula, left_first: bool) -> list[tuple[Formula, Binders]]:
             bound = item[1]
             if isinstance(node, Quant):
                 bound = {**bound, node.var: node.space}
-            for name in reversed(names) if left_first else names:
+            for name in reversed(names):
                 push((getattr(node, name), bound))
     return out
 
 
-def walk(f: Formula) -> list[tuple[Formula, Binders]]:
-    """Pre-order, left to right: each node with its enclosing binders."""
-    return _preorder(f, left_first=True)
-
-
-def fold(f: Formula, combine: Callable[[Formula, Binders, list], T]) -> T:
+def fold(f: Formula, combine: Callable[[Formula, Binders, list], T],
+         walked: list[tuple[Formula, Binders]] | None = None) -> T:
     """Post-order, left to right: combine(node, binders, values of its children)
-    for every node; returns the value at the root."""
+    for every node; returns the value at the root.
+
+    ``walked`` is ``walk(f)``, for a caller that has walked f already.
+    """
     values: list = []
-    # reversed right-to-left pre-order is left-to-right post-order
-    for node, bound in reversed(_preorder(f, left_first=False)):
+    # the nodes whose children are not all combined yet, innermost last, each
+    # with the length values will have when they are
+    waiting: list[tuple[Formula, Binders, int]] = []
+    for node, bound in walked or walk(f):
         n = len(node._kids)
         if n:
+            waiting.append((node, bound, len(values) + n))
+            continue
+        values.append(combine(node, bound, ()))
+        while waiting and waiting[-1][2] == len(values):
+            node, bound, _ = waiting.pop()
+            n = len(node._kids)
             values[-n:] = [combine(node, bound, values[-n:])]
-        else:
-            values.append(combine(node, bound, ()))
     return values[0]
 
 
@@ -226,16 +232,24 @@ QUANTIFIERS = {"E": Polarity.EXISTENTIAL, "A": Polarity.UNIVERSAL}
 
 RESERVED = set(QUANTIFIERS) | {"in", "inf"} | set(MUL_CONSTANTS)
 
-# every fixed spelling -> (token kind, token value)
+# every fixed spelling -> (token kind, token value): the punctuation, and the
+# reserved words, of which "inf" is a number
 _PUNCT = {s: ("OP", op) for op, s in OP_TOKENS.items()} | {
     s: (kind, s) for kind, s in (("LIMP", "-o"), ("DUAL", "^*"), ("CARET", "^"),
                                  ("LPAREN", "("), ("RPAREN", ")"),
                                  ("DOT", "."), ("COMMA", ","))}
+_FIXED = _PUNCT | {w: ("IDENT", w) for w in RESERVED} | {"inf": ("NUMBER", INF)}
 
-# After whitespace: a name (group 1; "inf" is one), a value literal (2), a fixed spelling,
-# longest first (3), or else the one character no token starts with, "" at the end (4).
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(%s)|(%s)|(.?))" % (
-    VALUE_LITERAL.pattern, "|".join(map(re.escape, sorted(_PUNCT, key=len, reverse=True)))))
+# After whitespace: a fixed spelling (group 1; punctuation longest first, a
+# reserved word only as a whole name), another name (2) with the "(" after it
+# (3), a value literal (4), or else the one character no token starts with, ""
+# at the end (5).  After an atom name "(" always opens the argument list, so
+# that phi(x) is an application although "(x)" is tensor.  Names come before
+# literals, so that inf_1 is a name.
+_TOKEN_RE = re.compile(r"\s*(?:(%s|(?:%s)(?![A-Za-z0-9_]))|([A-Za-z_][A-Za-z0-9_]*)(?:\s*(\())?"
+                       r"|(%s)|(.?))" % (
+                           "|".join(map(re.escape, sorted(_PUNCT, key=len, reverse=True))),
+                           "|".join(sorted(RESERVED)), VALUE_LITERAL.pattern))
 
 
 class _Token(NamedTuple):
@@ -244,32 +258,33 @@ class _Token(NamedTuple):
     pos: int
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    match, i = _TOKEN_RE.match, 0
-    while True:
-        m = match(text, i)
+def _scan(text: str) -> list[tuple]:
+    """The tokens of text as plain (kind, value, pos) tuples, EOF last."""
+    toks: list[tuple] = []
+    emit = toks.append
+    for m in _TOKEN_RE.finditer(text):
         group = m.lastindex
-        pos, i = m.span(group)
-        s = m[group]
         if group == 1:
-            toks.append(_Token("NUMBER", INF, pos) if s == "inf" else _Token("IDENT", s, pos))
+            emit(_FIXED[m[1]] + (m.start(1),))
         elif group == 2:
-            toks.append(_Token("NUMBER", float(s), pos))
+            emit(("IDENT", m[2], m.start(2)))
         elif group == 3:
-            kind, value = _PUNCT[s]
-            if s[0] == "(" and toks and toks[-1].kind == "IDENT" \
-                    and toks[-1].value not in RESERVED:
-                # After an atom name, "(" always opens the argument list, so
-                # that e.g. phi(x) is an application although "(x)" is tensor.
-                kind, value, i = "LPAREN", "(", pos + 1
-            toks.append(_Token(kind, value, pos))
-        elif s:
-            raise FormulaSyntaxError(
-                "stray '-'" if s == "-" else f"unexpected character {s!r}", pos)
-        else:
-            toks.append(_Token("EOF", None, pos))
-            return toks
+            emit(("IDENT", m[2], m.start(2)))
+            emit(("LPAREN", "(", m.start(3)))
+        elif group == 4:
+            emit(("NUMBER", float(m[4]), m.start(4)))
+        elif m[5]:
+            raise FormulaSyntaxError("stray '-'" if m[5] == "-" else
+                                     f"unexpected character {m[5]!r}", m.start(5))
+        else:  # "" at the end, which a text ending in whitespace matches twice
+            emit(("EOF", None, m.start(5)))
+            break
+    return toks
+
+
+def _tokenize(text: str) -> list[_Token]:
+    """The tokens of text with named fields."""
+    return [_Token(*tok) for tok in _scan(text)]
 
 
 # --------------------------------------------------------------------------
@@ -277,132 +292,137 @@ def _tokenize(text: str) -> list[_Token]:
 # --------------------------------------------------------------------------
 
 class _Parser:
+    """Recursive descent over the token tuples of one text.
+
+    ``i`` indexes the current token.  The stream ends in a second EOF, so the
+    one-token lookahead past the current token stays in range: every rule that
+    consumes an EOF raises at once.
+    """
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.i = 0
+        toks = _scan(text)
+        toks.append(toks[-1])
+        self.toks, self.i = toks, 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
-
-    def next(self) -> _Token:
+    def take(self, kind: str, what: str) -> tuple:
+        """The current token, which must be of the given kind; moves past it."""
         tok = self.toks[self.i]
+        if tok[0] != kind:
+            raise FormulaSyntaxError(f"expected {what}", tok[2])
         self.i += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise FormulaSyntaxError(f"expected {what}", tok.pos)
-        return tok
+    def ident(self, what: str) -> str:
+        kind, name, pos = self.toks[self.i]
+        if kind != "IDENT" or name in RESERVED:
+            raise FormulaSyntaxError(f"expected {what}", pos)
+        self.i += 1
+        return name
 
     def parse(self) -> Formula:
         f = self.formula()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise FormulaSyntaxError("unexpected trailing input", tok.pos)
+        kind, _, pos = self.toks[self.i]
+        if kind != "EOF":
+            raise FormulaSyntaxError("unexpected trailing input", pos)
         return f
 
     def formula(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.value in QUANTIFIERS and self.peek(1).kind == "CARET":
-            return self.quantifier()
-        if tok.kind == "NUMBER" and self.peek(1).kind == "DOT":
-            return self.scalar()
+        toks, i = self.toks, self.i
+        kind, value, pos = toks[i]
+        ahead = toks[i + 1][0]
+        if kind == "IDENT" and ahead == "CARET" and value in QUANTIFIERS:
+            return self.quantifier(QUANTIFIERS[value])
+        if kind == "NUMBER" and ahead == "DOT":
+            return self.scalar(value, pos)
         return self.chain()
 
-    def quantifier(self) -> Formula:
-        pol = QUANTIFIERS[self.next().value]
-        self.expect("CARET", "'^' after quantifier")
-        ptok = self.expect("NUMBER", "a quantifier magnitude")
-        if ptok.value < 0.0:
-            raise FormulaSyntaxError("quantifier magnitude must be in [0, inf]", ptok.pos)
-        self.expect("LPAREN", "'(' before the bound variable")
+    def quantifier(self, polarity: Polarity) -> Formula:
+        self.i += 2  # the quantifier and its "^"
+        _, p, pos = self.take("NUMBER", "a quantifier magnitude")
+        if p < 0.0:
+            raise FormulaSyntaxError("quantifier magnitude must be in [0, inf]", pos)
+        self.take("LPAREN", "'(' before the bound variable")
         var = self.ident("a bound variable")
-        kw = self.next()
-        if kw.kind != "IDENT" or kw.value != "in":
-            raise FormulaSyntaxError("expected 'in'", kw.pos)
+        kind, kw, pos = self.toks[self.i]
+        if kind != "IDENT" or kw != "in":
+            raise FormulaSyntaxError("expected 'in'", pos)
+        self.i += 1
         space = self.ident("a space name")
-        self.expect("RPAREN", "')' after the space name")
-        self.expect("DOT", "'.' before the quantifier body")
-        return Quant(pol, ptok.value, var, space, self.formula())
+        self.take("RPAREN", "')' after the space name")
+        self.take("DOT", "'.' before the quantifier body")
+        return Quant(polarity, p, var, space, self.formula())
 
-    def scalar(self) -> Formula:
-        ktok = self.next()
-        if ktok.value < 0.0:
-            raise FormulaSyntaxError("scalar factor must be nonnegative", ktok.pos)
-        if ktok.value == INF:
-            raise FormulaSyntaxError("scalar factor must be finite", ktok.pos)
-        self.expect("DOT", "'.' after the scalar factor")
-        return Scalar(ktok.value, self.formula())
+    def scalar(self, k: float, pos: int) -> Formula:
+        if k < 0.0:
+            raise FormulaSyntaxError("scalar factor must be nonnegative", pos)
+        if k == INF:
+            raise FormulaSyntaxError("scalar factor must be finite", pos)
+        self.i += 2  # the factor and its "."
+        return Scalar(k, self.formula())
 
     def chain(self) -> Formula:
         left = self.postfix()
-        tok = self.peek()
-        if tok.kind not in ("OP", "LIMP"):
+        toks = self.toks
+        kind, op, _ = first = toks[self.i]
+        if kind != "OP" and kind != "LIMP":
             return left
-        first = self.next()
+        self.i += 1
         operands = [left, self.postfix()]
         while True:
-            tok = self.peek()
-            if tok.kind == first.kind and tok.value == first.value:
-                self.next()
+            tok = toks[self.i]
+            if tok[1] == op and tok[0] == kind:
+                self.i += 1
                 operands.append(self.postfix())
-                continue
-            if tok.kind in ("OP", "LIMP"):
+            elif tok[0] == "OP" or tok[0] == "LIMP":
                 raise FormulaSyntaxError(
-                    "mixing different operators requires parentheses", tok.pos)
-            break
-        if first.kind == "LIMP":
+                    "mixing different operators requires parentheses", tok[2])
+            else:
+                break
+        if kind == "LIMP":
             if len(operands) > 2:
-                raise FormulaSyntaxError("'-o' is non-associative; parenthesize",
-                                         first.pos)
+                raise FormulaSyntaxError("'-o' is non-associative; parenthesize", first[2])
             return Div(operands[0], operands[1])
         node = operands[0]
         for rhs in operands[1:]:
-            node = BinOp(first.value, node, rhs)
+            node = BinOp(op, node, rhs)
         return node
 
     def postfix(self) -> Formula:
         node = self.primary()
-        while self.peek().kind == "DUAL":
-            self.next()
+        toks = self.toks
+        while toks[self.i][0] == "DUAL":
+            self.i += 1
             node = Dual(node)
         return node
 
-    def ident(self, what: str) -> str:
-        tok = self.next()
-        if tok.kind != "IDENT" or tok.value in RESERVED:
-            raise FormulaSyntaxError(f"expected {what}", tok.pos)
-        return str(tok.value)
-
     def primary(self) -> Formula:
-        tok = self.next()
-        if tok.kind == "LPAREN":
+        toks = self.toks
+        kind, value, pos = toks[self.i]
+        self.i += 1
+        if kind == "LPAREN":
             inner = self.formula()
-            self.expect("RPAREN", "')'")
+            self.take("RPAREN", "')'")
             return inner
-        if tok.kind == "NUMBER":
-            return Const(float(tok.value))
-        if tok.kind == "IDENT":
-            name = str(tok.value)
-            if name in QUANTIFIERS and self.peek().kind == "CARET":
+        if kind == "NUMBER":
+            return Const(value)
+        if kind == "IDENT":
+            if value in QUANTIFIERS and toks[self.i][0] == "CARET":
                 raise FormulaSyntaxError(
-                    "quantifier inside an operator chain must be parenthesized",
-                    tok.pos)
-            if name in MUL_CONSTANTS:
-                return Const(name)
-            if name == "in":
-                raise FormulaSyntaxError("'in' is reserved", tok.pos)
-            self.expect("LPAREN", f"'(' after atom {name!r}")
+                    "quantifier inside an operator chain must be parenthesized", pos)
+            if value in MUL_CONSTANTS:
+                return Const(value)
+            if value == "in":
+                raise FormulaSyntaxError("'in' is reserved", pos)
+            self.take("LPAREN", f"'(' after atom {value!r}")
             args: list[str] = []
-            if self.peek().kind != "RPAREN":
+            if toks[self.i][0] != "RPAREN":
                 args.append(self.ident("an argument variable"))
-                while self.peek().kind == "COMMA":
-                    self.next()
+                while toks[self.i][0] == "COMMA":
+                    self.i += 1
                     args.append(self.ident("an argument variable"))
-            self.expect("RPAREN", "')' closing the argument list")
-            return Atom(name, tuple(args))
-        raise FormulaSyntaxError("expected a formula", tok.pos)
+            self.take("RPAREN", "')' closing the argument list")
+            return Atom(value, tuple(args))
+        raise FormulaSyntaxError("expected a formula", pos)
 
 
 def parse(text: str) -> Formula:
@@ -445,18 +465,20 @@ def format_formula(f: Formula) -> str:
 # static checks and structural operations
 # --------------------------------------------------------------------------
 
-def check_wellformed(f: Formula, ctx: Context, env) -> Formula:
+def check_wellformed(f: Formula, ctx: Context, env,
+                     walked: list[tuple[Formula, Binders]] | None = None) -> Formula:
     """Validate variables, atom arities/spaces and space names against env.
 
     Returns the formula unchanged on success; raises QuantLogicError with one
     of UNBOUND_VARIABLE / SHADOWED_VARIABLE / ATOM_ARITY / UNKNOWN_SPACE /
     UNKNOWN_ATOM / INVALID_VALUE / INVALID_P otherwise, for the first
     offending node in pre-order, left to right.  Magnitudes and scalar
-    factors of code-built nodes meet the parser's ranges here.
+    factors of code-built nodes meet the parser's ranges here.  ``walked`` is
+    ``walk(f)``, for a caller that has walked f already.
     """
     check = carrier(env.mode).check
     outer = {v: s.name for v, s in ctx.entries}
-    for node, bound in walk(f):
+    for node, bound in walked or walk(f):
         if isinstance(node, Const):
             if not isinstance(node.value, str):
                 check(node.value)

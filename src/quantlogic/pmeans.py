@@ -196,8 +196,8 @@ def _kernel(c: Carrier, polarity: Polarity, p: float, ws: Sequence[float],
         return NAN
 
     def log_domain(w, lw, xs):
-        if lower:
-            return exp(-_log_mean(p, lw, logs(xs), -1.0))
+        if lower:  # 0.0 - L, so that a zero comes out +0.0, never -0.0
+            return exp(0.0 - _log_mean(p, lw, logs(xs), -1.0))
         return exp(_log_mean(p, lw, logs(xs)))
 
     fast = direct if powers else log_domain

@@ -19,7 +19,7 @@ from .environment import Environment
 from .errors import QuantLogicError
 from .extreal import INF, MulReal
 from .formulas import (Atom, Binders, BinOp, Context, Div, Dual, Formula, Quant,
-                       check_wellformed, fold)
+                       check_wellformed, fold, walk)
 from .pmeans import MUL, add_quantifier, carrier  # noqa: F401 (re-export)
 
 
@@ -81,7 +81,8 @@ def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str) -> Predicat
     if env.mode != mode:
         raise QuantLogicError("CARRIER_MISMATCH",
                               f"eval_{mode} needs an environment in {mode!r} mode")
-    check_wellformed(f, ctx, env)
+    walked = walk(f)  # one pre-order pass, to validate and then to evaluate
+    check_wellformed(f, ctx, env, walked)
     c = carrier(mode)
     names, sizes = ctx.names(), ctx.sizes()
 
@@ -104,7 +105,7 @@ def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str) -> Predicat
             return c.dual(kids[0])
         return c.scalar(node.factor, kids[0])  # the node is a Scalar
 
-    return Predicate(ctx, mode, tuple(fold(f, node_table)))
+    return Predicate(ctx, mode, tuple(fold(f, node_table, walked)))
 
 
 def eval_mul(f: Formula, ctx: Context, env: Environment) -> Predicate:

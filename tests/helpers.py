@@ -264,4 +264,6 @@ def ref_add_quantifier(polarity, p, weights, values):
     if not finite:
         return -sign * INF
     ws, us = zip(*finite)
-    return sign * _ref_log_mean(p, ws, [sign * u for u in us])
+    if existential:  # 0.0 - L, as the kernel takes it: a zero comes out +0.0
+        return 0.0 - _ref_log_mean(p, ws, [-u for u in us])
+    return _ref_log_mean(p, ws, us)

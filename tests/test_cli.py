@@ -475,6 +475,34 @@ def test_trial_counts_are_positive(envfile, capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("grid", ["0.5:2:\u0663", "0.5:2:+3", "0.5:2:1_0", "0.5:2: 3",
+                                  "0.5:2:3.0"])
+def test_grid_counts_are_ascii_digits(envfile, capsys, grid):
+    rc, out, err = run(capsys, "plot-data", "--env", envfile, "f", f"--grid={grid}")
+    assert rc == 1
+    assert err.startswith("error[GRID_FORMAT]")
+    assert out == ""
+
+
+@pytest.mark.parametrize("option, check", [("--trials", "adjunction"),
+                                           ("--seed", "adjunction"),
+                                           ("--trials", "transitivity-search"),
+                                           ("--seed", "transitivity-search")])
+@pytest.mark.parametrize("text", ["\u0663", "+3", "1_0", " 3", "3.0"])
+def test_counts_and_seeds_are_ascii_digits(envfile, capsys, option, check, text):
+    rc, out, err = run(capsys, "doctrine", "--env", envfile, check, option, text)
+    assert rc == 1
+    assert err.splitlines()[-1].startswith(f"error[USAGE]: argument {option}")
+    assert out == ""
+
+
+def test_a_seed_may_be_negative(envfile, capsys):
+    rc, out, _ = run(capsys, "doctrine", "--env", envfile, "adjunction",
+                     "--trials", "2", "--seed", "-7")
+    assert rc == 0
+    assert out.startswith("check=adjunction trials=2 ")
+
+
 @pytest.mark.parametrize("p", ["2", "inf"])
 def test_entropy_of_a_point_mass_prints_one_zero(tmp_path, capsys, p):
     doc = {"mode": "mul", "spaces": {"I": {"points": ["a", "b"], "weights": [1, 1]}},

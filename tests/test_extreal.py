@@ -339,6 +339,9 @@ def test_nonlinear_distributivity_random(a, b, c):
 
 def test_napier_fixed_points():
     assert napier(1.0) == 0.0
+    # +0.0, as add_dual gives it: -log(1) would be -0.0
+    assert math.copysign(1.0, napier(1.0)) == 1.0
+    assert [math.copysign(1.0, extreal.ADD_CONSTANTS[k]) for k in ("one", "bot")] == [1.0, 1.0]
     assert napier(0.0) == INF
     assert napier(INF) == -INF
     for x in (0.0, 0.3, 1.0, 7.0, INF):

@@ -1,6 +1,7 @@
 """Grammar round-trips, parse errors, well-formedness, and translation."""
 
 import math
+import os
 import random
 
 import pytest
@@ -21,16 +22,19 @@ from quantlogic import (
     check_wellformed,
     environment_from_dict,
     eval_mul,
+    evaluate,
     format_formula,
     free_variables,
     make_space,
     napier,
     parse,
     substitute,
+    translate_environment,
     translate_formula,
 )
-from quantlogic.formulas import _tokenize
+from quantlogic.formulas import Formula, _tokenize, walk
 from quantlogic.pmeans import Polarity
+import parse_corpus
 from helpers import coherence_environment, formulas_close, random_formula
 
 
@@ -132,6 +136,17 @@ def test_token_streams(text, tokens):
         assert err.value.position == tokens[1]
     else:
         assert [(t.kind, t.value, t.pos) for t in _tokenize(text)] == tokens
+
+
+def test_front_end_reproduces_the_differential_corpus():
+    # seeded texts and one-character mutations of them, each with the tree or
+    # the syntax error that the reference front end gave (tests/parse_corpus.py)
+    entries = parse_corpus.load(os.path.join(os.path.dirname(__file__), parse_corpus.FIXTURE))
+    assert len(entries) == 4 * parse_corpus.BASE_TEXTS
+    assert [text for text, _ in entries] == parse_corpus.corpus()
+    wrong = [(text, want, got) for text, want in entries
+             if (got := parse_corpus.outcome(text)) != want]
+    assert not wrong, wrong[:5]
 
 
 def test_syntax_error_position():
@@ -274,6 +289,30 @@ def test_wellformed_rejects_code_built_nodes_outside_the_grammar(node, code, mod
     with pytest.raises(QuantLogicError) as err:
         check_wellformed(node, context, env)
     assert err.value.code == code
+
+
+@pytest.mark.parametrize("mode", ["mul", "add"])
+def test_evaluate_walks_its_formula_once(monkeypatch, mode):
+    # A pre-order pass reads every subformula field once; one pass serves both
+    # the check and the evaluation, so evaluate reads each field once.
+    env = coherence_environment(random.Random(5))
+    if mode == "add":
+        env = translate_environment(env)
+    f = parse("E^2 (x in I). phi(x) (x) (A^1 (k in K). rho(x, k))^*")
+    edges = len(walk(f)) - 1
+    reads = []
+    read = object.__getattribute__
+
+    def spy(node, name):
+        if name in ("lhs", "rhs", "body"):
+            reads.append(name)
+        return read(node, name)
+
+    monkeypatch.setattr(Formula, "__getattribute__", spy)
+    pred = evaluate(f, Context(), env)
+    monkeypatch.undo()
+    assert len(reads) == edges == 5
+    assert pred == evaluate(f, Context(), env)
 
 
 def test_context_rejects_a_repeated_variable():

@@ -210,6 +210,13 @@ def test_add_quantifier_corners():
     assert err.value.code == "EMPTY_SUPPORT"
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0, 3.0, INF])
+@pytest.mark.parametrize("polarity", [Polarity.EXISTENTIAL, Polarity.UNIVERSAL])
+def test_add_quantifier_of_zero_is_positive_zero(polarity, p):
+    got = add_quantifier(polarity, p, [1.0], [0.0])
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
 @pytest.mark.parametrize("p, weights, values, code", [
     (math.nan, (1.0, 1.0), (0.0, 1.0), "INVALID_P"),
     (-1.0, (1.0, 1.0), (0.0, 1.0), "INVALID_P"),

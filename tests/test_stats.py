@@ -316,6 +316,12 @@ def test_checked_values_are_stored():
     assert [type(e) for e in u.energies] == [float, float]
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0, 3.0, INF])
+def test_entropy_of_a_point_mass_is_positive_zero(p):
+    h = renyi_entropy(distribution(counting_space(2), (0.0, 1.0)), p)
+    assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
+
 def test_energy_functions_have_one_energy_per_point():
     with pytest.raises(QuantLogicError) as err:
         energy_function(counting_space(3), (1.0, 2.0))

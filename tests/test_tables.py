@@ -24,8 +24,8 @@ TINY, MIN, MAX = 5e-324, sys.float_info.min, sys.float_info.max
 _rng = random.Random(7)
 _RANDOM = [math.exp(_rng.uniform(-50.0, 50.0)) for _ in range(4)] + [0.3, 7.5]
 # The corners, the ends of the double range and ordinary values.  -0.0 is a
-# value only of the additive carrier (napier(1) is -0.0); the multiplicative
-# check reads it as 0.0.
+# value only of the additive carrier, which keeps it as given; the
+# multiplicative check reads it as 0.0.
 MUL_ALPHABET = [check_mul(a) for a in
                 [0.0, -0.0, 1.0, INF, TINY, 2.2e-310, MIN, MAX, *_RANDOM]]
 ADD_ALPHABET = [s * a for a in [0.0, 1.0, INF, TINY, 2.2e-310, MIN, MAX, *_RANDOM]
