@@ -2,7 +2,8 @@
 
 ``entails(phi, psi, p)`` is the universal p-mean of the pointwise residuals
 phi -o psi — a number in [0, inf] measuring how strongly phi forces psi on
-average.  The checks below probe the algebra of this functional:
+average.  The checks below probe its algebra; like it, they compute on the
+evaluator's table path (whole checked tables, one kernel per quantified table):
 
 * reflexivity is *graded*: entails(phi, phi, p) equals total_mass^(-1/p), so
   it is 1 exactly on probability spaces;
@@ -21,8 +22,9 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import QuantLogicError
-from .extreal import INF, MulReal, check_mul_table, mul_div, mul_tensor
-from .pmeans import ValueVector, exists_p, forall_p, kahan_sum, p_mean, value_vector
+from .extreal import (INF, MulReal, check_mul_table, mul_div_table, mul_tensor,
+                      mul_tensor_table)
+from .pmeans import MUL, Polarity, _check_magnitude, kahan_sum, value_vector
 from .spaces import PointMap, Space, make_space, product_space
 
 _REL_TOL = 1e-9
@@ -44,11 +46,7 @@ class EntailmentReport:
 
 
 def _rel_close(a: float, b: float) -> bool:
-    if a == b:
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return False
-    return abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
+    return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=_REL_TOL)
 
 
 def _above(a: float, b: float) -> bool:
@@ -62,17 +60,22 @@ def _gap(lhs: float, rhs: float) -> float:
 
 def entails(space: Space, phi, psi, p: float = 1.0) -> MulReal:
     """Universal p-mean of the residuals phi(i) -o psi(i) over the space."""
-    phi = value_vector(space, phi)
-    psi = value_vector(space, psi)
-    ratios = tuple(mul_div(a, b) for a, b in zip(phi.values, psi.values))
-    return p_mean(forall_p(p), ValueVector(space, ratios))
+    phi = value_vector(space, phi).values
+    psi = value_vector(space, psi).values
+    return _entailments(space, phi, psi, _check_magnitude(float(p)))[0]
+
+
+def _entailments(space: Space, phi, psi, p: float) -> list[MulReal]:
+    """entails row by row, of checked tables phi and psi and a checked p."""
+    return MUL.quantifier(Polarity.UNIVERSAL, p, space)(mul_div_table(phi, psi))
 
 
 def reflexivity_check(space: Space, phi, p: float = 1.0) -> EntailmentReport:
     """entails(phi, phi, p) against the predicted total_mass^(-1/p)."""
-    if not (p > 0.0):
+    if _check_magnitude(p) == 0.0:
         raise QuantLogicError("INVALID_P", "reflexivity check needs p > 0")
-    value = entails(space, phi, phi, p)
+    phi = value_vector(space, phi).values
+    value = _entailments(space, phi, phi, float(p))[0]
     mass = space.total_mass
     if p == INF:
         expected = 1.0
@@ -105,13 +108,11 @@ def adjunction_check(space_i: Space, space_k: Space, rho, psi,
     ni, nk = len(space_i), len(space_k)
     if len(rho) != ni * nk or len(psi) != ni:
         raise QuantLogicError("VALUE_COUNT", "rho must be I x K, psi over I")
-    marginal = tuple(
-        p_mean(exists_p(p), ValueVector(space_k, rho[i * nk:(i + 1) * nk]))
-        for i in range(ni))
-    lhs = entails(space_i, marginal, psi, p)
-    prod = product_space(space_i, space_k)
-    pulled = tuple(psi[i] for i in range(ni) for _ in range(nk))
-    rhs = entails(prod, rho, pulled, p)
+    order = _check_magnitude(float(p))
+    marginal = MUL.quantifier(Polarity.EXISTENTIAL, order, space_k)(rho)
+    lhs = _entailments(space_i, marginal, psi, order)[0]
+    pulled = [v for v in psi for _ in range(nk)]
+    rhs = _entailments(product_space(space_i, space_k), rho, pulled, order)[0]
     verdict = "holds" if _rel_close(lhs, rhs) else "violated"
     return EntailmentReport("adjunction", lhs, rhs, _gap(lhs, rhs), verdict,
                             {"p": p})
@@ -127,9 +128,7 @@ def canned_transitivity_witness():
 
 
 def _transitivity_report(space, phi, psi, sigma, p, source) -> EntailmentReport | None:
-    e1 = entails(space, phi, psi, p)
-    e2 = entails(space, psi, sigma, p)
-    e3 = entails(space, phi, sigma, p)
+    e1, e2, e3 = _entailments(space, phi + psi + phi, psi + sigma + sigma, float(p))
     lhs = mul_tensor(e1, e2)
     if _above(lhs, e3):
         return EntailmentReport(
@@ -148,12 +147,12 @@ def transitivity_search(space: Space, p: float = 1.0, trials: int = 1000,
     NO_VIOLATION_FOUND is raised only if even that fails, which would mean
     the arithmetic is broken.
     """
+    _check_magnitude(float(p))
     rng = random.Random(seed)
-    n = len(space)
     lo, hi = math.log(1e-3), math.log(1e3)
 
     def vec():
-        return tuple(math.exp(rng.uniform(lo, hi)) for _ in range(n))
+        return tuple(math.exp(rng.uniform(lo, hi)) for _ in range(len(space)))
 
     for trial in range(trials):
         report = _transitivity_report(space, vec(), vec(), vec(), p,
@@ -176,10 +175,12 @@ def reindex_monotonicity_check(f: PointMap, phi, psi,
                               "point map increases mass somewhere")
     phi = check_mul_table(phi)
     psi = check_mul_table(psi)
-    lhs = entails(f.target, phi, psi, p)
-    pulled_phi = tuple(phi[f(i)] for i in range(len(f.source)))
-    pulled_psi = tuple(psi[f(i)] for i in range(len(f.source)))
-    rhs = entails(f.source, pulled_phi, pulled_psi, p)
+    if len(phi) != len(f.target) or len(psi) != len(f.target):
+        raise QuantLogicError("VALUE_COUNT", "phi and psi must live on the target space")
+    order = _check_magnitude(float(p))
+    lhs = _entailments(f.target, phi, psi, order)[0]
+    rhs = _entailments(f.source, [phi[j] for j in f.assignment],
+                       [psi[j] for j in f.assignment], order)[0]
     holds = lhs <= rhs + _ABS_TOL
     return EntailmentReport("reindex-monotonicity", lhs, rhs, _gap(lhs, rhs),
                             "holds" if holds else "violated", {"p": p})
@@ -194,20 +195,16 @@ def pushforward_density(f: PointMap, phi) -> tuple[MulReal, ...]:
     phi = check_mul_table(phi)
     if len(phi) != len(f.source):
         raise QuantLogicError("VALUE_COUNT", "phi must live on the source space")
-    image = set(f.assignment)
-    for j in sorted(image):
+    image = sorted(set(f.assignment))
+    for j in image:
         if f.target.weights[j] == 0.0:
             raise QuantLogicError(
                 "ZERO_TARGET_WEIGHT",
                 f"target point {f.target.points[j]!r} is hit but has weight 0")
-    out = []
-    for j in range(len(f.target)):
-        if j not in image:
-            out.append(0.0)
-            continue
-        terms = [mul_tensor(phi[i], f.source.weights[i]) for i in f.fiber(j)]
-        out.append(mul_div(f.target.weights[j], kahan_sum(terms)))
-    return tuple(out)
+    terms = mul_tensor_table(phi, f.source.weights)
+    sums = [kahan_sum([terms[i] for i in f.fiber(j)]) for j in image]
+    densities = dict(zip(image, mul_div_table([f.target.weights[j] for j in image], sums)))
+    return tuple(densities.get(j, 0.0) for j in range(len(f.target)))
 
 
 def laxity_check(f: PointMap, phi, psi) -> EntailmentReport:
@@ -218,10 +215,8 @@ def laxity_check(f: PointMap, phi, psi) -> EntailmentReport:
     """
     phi = check_mul_table(phi)
     psi = check_mul_table(psi)
-    lhs = tuple(mul_tensor(a, b) for a, b in
-                zip(pushforward_density(f, phi), pushforward_density(f, psi)))
-    product = tuple(mul_tensor(a, b) for a, b in zip(phi, psi))
-    rhs = pushforward_density(f, product)
+    lhs = tuple(mul_tensor_table(pushforward_density(f, phi), pushforward_density(f, psi)))
+    rhs = pushforward_density(f, mul_tensor_table(phi, psi))
     lax_fails = any(_above(a, b) for a, b in zip(lhs, rhs))
     colax_fails = any(_above(b, a) for a, b in zip(lhs, rhs))
     verdict = "violated" if (lax_fails or colax_fails) else "holds"

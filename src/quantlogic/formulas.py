@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, TypeVar
 from .errors import FormulaSyntaxError, QuantLogicError
 from .extreal import (INF, MUL_CONSTANTS, VALUE_LITERAL, OpCode, check_add, check_mul,
                       format_value, napier, napier_inv)
-from .pmeans import Polarity, SignedP, carrier
+from .pmeans import Polarity, _check_magnitude, carrier
 from .spaces import Space
 
 T = TypeVar("T")
@@ -172,18 +172,20 @@ def walk(f: Formula) -> list[tuple[Formula, Binders]]:
     return out
 
 
-def fold(f: Formula, combine: Callable[[Formula, Binders, list], T],
-         walked: list[tuple[Formula, Binders]] | None = None) -> T:
+def fold(f: Formula, combine: Callable[[Formula, Binders, list], T]) -> T:
     """Post-order, left to right: combine(node, binders, values of its children)
-    for every node; returns the value at the root.
+    for every node; returns the value at the root."""
+    return _fold(walk(f), combine)
 
-    ``walked`` is ``walk(f)``, for a caller that has walked f already.
-    """
+
+def _fold(walked: list[tuple[Formula, Binders]],
+          combine: Callable[[Formula, Binders, list], T]) -> T:
+    """fold of the formula whose pre-order walk is ``walked``."""
     values: list = []
     # the nodes whose children are not all combined yet, innermost last, each
     # with the length values will have when they are
     waiting: list[tuple[Formula, Binders, int]] = []
-    for node, bound in walked or walk(f):
+    for node, bound in walked:
         n = len(node._kids)
         if n:
             waiting.append((node, bound, len(values) + n))
@@ -465,20 +467,24 @@ def format_formula(f: Formula) -> str:
 # static checks and structural operations
 # --------------------------------------------------------------------------
 
-def check_wellformed(f: Formula, ctx: Context, env,
-                     walked: list[tuple[Formula, Binders]] | None = None) -> Formula:
+def check_wellformed(f: Formula, ctx: Context, env) -> Formula:
     """Validate variables, atom arities/spaces and space names against env.
 
     Returns the formula unchanged on success; raises QuantLogicError with one
     of UNBOUND_VARIABLE / SHADOWED_VARIABLE / ATOM_ARITY / UNKNOWN_SPACE /
     UNKNOWN_ATOM / INVALID_VALUE / INVALID_P otherwise, for the first
     offending node in pre-order, left to right.  Magnitudes and scalar
-    factors of code-built nodes meet the parser's ranges here.  ``walked`` is
-    ``walk(f)``, for a caller that has walked f already.
+    factors of code-built nodes meet the parser's ranges here.
     """
+    _check_walk(walk(f), ctx, env)
+    return f
+
+
+def _check_walk(walked: list[tuple[Formula, Binders]], ctx: Context, env) -> None:
+    """check_wellformed of the formula whose pre-order walk is ``walked``."""
     check = carrier(env.mode).check
     outer = {v: s.name for v, s in ctx.entries}
-    for node, bound in walked or walk(f):
+    for node, bound in walked:
         if isinstance(node, Const):
             if not isinstance(node.value, str):
                 check(node.value)
@@ -507,14 +513,13 @@ def check_wellformed(f: Formula, ctx: Context, env,
                         f"atom {node.name!r} expects a {space_name!r} variable, "
                         f"but {arg!r} ranges over {scope[arg]!r}")
         elif isinstance(node, Quant):
-            SignedP(node.polarity, node.magnitude)  # INVALID_P off [0, inf]
+            _check_magnitude(node.magnitude)
             if node.space not in env.spaces:
                 raise QuantLogicError("UNKNOWN_SPACE",
                                       f"space {node.space!r} not in environment")
             if node.var in outer or node.var in bound:
                 raise QuantLogicError("SHADOWED_VARIABLE",
                                       f"variable {node.var!r} is already bound")
-    return f
 
 
 def free_variables(f: Formula) -> tuple[str, ...]:

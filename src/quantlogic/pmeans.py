@@ -71,9 +71,14 @@ class SignedP:
     magnitude: float
 
     def __post_init__(self):
-        m = self.magnitude
-        if math.isnan(m) or m < 0.0:
-            raise QuantLogicError("INVALID_P", f"magnitude must be in [0, inf], got {m!r}")
+        _check_magnitude(self.magnitude)
+
+
+def _check_magnitude(p: float) -> float:
+    """p, if it is a quantifier magnitude in [0, inf]; INVALID_P otherwise (NaN too)."""
+    if not p >= 0.0:
+        raise QuantLogicError("INVALID_P", f"magnitude must be in [0, inf], got {p!r}")
+    return p
 
 
 def exists_p(p: float) -> SignedP:

@@ -19,7 +19,7 @@ from .environment import Environment
 from .errors import QuantLogicError
 from .extreal import INF, MulReal
 from .formulas import (Atom, Binders, BinOp, Context, Div, Dual, Formula, Quant,
-                       check_wellformed, fold, walk)
+                       _check_walk, _fold, walk)
 from .pmeans import MUL, add_quantifier, carrier  # noqa: F401 (re-export)
 
 
@@ -82,7 +82,7 @@ def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str) -> Predicat
         raise QuantLogicError("CARRIER_MISMATCH",
                               f"eval_{mode} needs an environment in {mode!r} mode")
     walked = walk(f)  # one pre-order pass, to validate and then to evaluate
-    check_wellformed(f, ctx, env, walked)
+    _check_walk(walked, ctx, env)
     c = carrier(mode)
     names, sizes = ctx.names(), ctx.sizes()
 
@@ -105,7 +105,7 @@ def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str) -> Predicat
             return c.dual(kids[0])
         return c.scalar(node.factor, kids[0])  # the node is a Scalar
 
-    return Predicate(ctx, mode, tuple(fold(f, node_table, walked)))
+    return Predicate(ctx, mode, tuple(_fold(walked, node_table)))
 
 
 def eval_mul(f: Formula, ctx: Context, env: Environment) -> Predicate:

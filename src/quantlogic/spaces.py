@@ -166,7 +166,7 @@ def compose(g: PointMap, f: PointMap) -> PointMap:
 
 def pushforward_measure(f: PointMap) -> tuple[float, ...]:
     """Fiber-wise sums of source weights, as a measure on the target."""
-    sums = [0.0] * len(f.target)
-    for i, j in enumerate(f.assignment):
-        sums[j] += f.source.weights[i]
-    return tuple(sums)
+    fibers = [[] for _ in f.target.points]
+    for w, j in zip(f.source.weights, f.assignment):
+        fibers[j].append(w)
+    return tuple(map(kahan_sum, fibers))

@@ -17,16 +17,15 @@ Everything here is a thin specialization of the p-mean machinery:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .environment import AtomTable, make_environment
 from .errors import QuantLogicError
-from .extreal import (INF, AddReal, MulReal, check_add_table, check_mul_table, mul_div,
-                      mul_dual, napier)
+from .extreal import (INF, AddReal, MulReal, check_add_table, check_mul_table,
+                      mul_div_table, mul_dual, mul_dual_table, napier_table)
 from .formulas import Atom, Context, Div, Formula, Quant
-from .pmeans import (ADD, MUL, Polarity, SignedP, ValueVector, escort_quantifier,
-                     exists_p, kahan_sum, p_mean)
+from .pmeans import (ADD, MUL, Polarity, SignedP, ValueVector, _check_magnitude,
+                     escort_quantifier, exists_p, kahan_sum, p_mean)
 from .semantics import evaluate, separator_cast, unitary_separator
 from .spaces import Space
 
@@ -97,10 +96,9 @@ def _universal(mode: str, space: Space, values, p: float, body: Formula,
 
 
 def _check_p(p: float, positive: bool) -> float:
-    p = float(p)
-    if math.isnan(p) or p < 0.0 or (positive and p == 0.0):
-        lo = "(0" if positive else "[0"
-        raise QuantLogicError("INVALID_P", f"order must be in {lo}, inf], got {p!r}")
+    p = _check_magnitude(float(p))
+    if positive and p == 0.0:
+        raise QuantLogicError("INVALID_P", f"order must be in (0, inf], got {p!r}")
     return p
 
 
@@ -116,7 +114,7 @@ def softmax_p(f: ValueVector, p: float) -> tuple[MulReal, ...]:
     if mean == 0.0:
         raise QuantLogicError("ZERO_PREDICATE",
                               "softmax of an (essentially) zero vector")
-    return tuple(mul_div(mean, v) for v in f.values)
+    return tuple(mul_div_table([mean] * len(f.values), f.values))
 
 
 def argmax(f: ValueVector) -> tuple[bool, ...]:
@@ -151,7 +149,7 @@ def renyi_entropy(phi: Distribution, p: float) -> float:
     -log of the essential maximum.
     """
     return escort_quantifier(ADD, _escort(p), phi.space, phi.masses,
-                             [napier(m) for m in phi.masses])
+                             napier_table(phi.masses))
 
 
 def hill_diversity(phi: Distribution, p: float) -> MulReal:
@@ -184,9 +182,6 @@ def renyi_formula_path(phi: Distribution, p: float) -> float:
     p = _check_p(p, positive=True)
     if p == 1.0 or p == INF:
         raise QuantLogicError("INVALID_P", "formula path needs p outside {1, inf}")
-    logphi = [napier(mul_dual(m)) for m in phi.masses]
+    logphi = napier_table(mul_dual_table(phi.masses))
     value = _universal("add", phi.space, logphi, p, Atom("a", ("x",)))[0]
-    k = p / (1.0 - p)
-    if value in (INF, -INF):
-        return -value if k < 0 else value
-    return k * value
+    return p / (1.0 - p) * value

@@ -1,5 +1,6 @@
-"""Shared test utilities: tolerant comparisons, a random formula generator and
-reference quantifier kernels."""
+"""Shared test utilities: tolerant comparisons, a random formula generator,
+reference quantifier kernels, and the scalar formulation of the entailment
+checks and statistics as their reference."""
 
 from __future__ import annotations
 
@@ -11,18 +12,36 @@ from fractions import Fraction
 
 from quantlogic import (
     Atom,
+    AtomTable,
     BinOp,
     Const,
+    Context,
     Div,
     Dual,
+    EntailmentReport,
     OpCode,
+    QuantLogicError,
     Quant,
     Scalar,
+    SignedP,
+    ValueVector,
+    canned_transitivity_witness,
     environment_from_dict,
+    evaluate,
+    exists_p,
+    forall_p,
+    make_environment,
+    mul_div,
+    mul_dual,
+    mul_tensor,
+    napier,
+    p_mean,
+    product_space,
+    value_vector,
 )
-from quantlogic.extreal import kahan_sum
+from quantlogic.extreal import check_mul_table, kahan_sum
 from quantlogic.formulas import Formula, children, rebuild, walk
-from quantlogic.pmeans import Polarity
+from quantlogic.pmeans import ADD, Polarity, escort_quantifier
 
 INF = math.inf
 
@@ -267,3 +286,205 @@ def ref_add_quantifier(polarity, p, weights, values):
     if existential:  # 0.0 - L, as the kernel takes it: a zero comes out +0.0
         return 0.0 - _ref_log_mean(p, ws, [-u for u in us])
     return _ref_log_mean(p, ws, us)
+
+
+# ---------------------------------------------------------------------------
+# reference entailment checks and statistics: the scalar formulation, one
+# carrier operation per cell and one p-mean per row or entailment
+# ---------------------------------------------------------------------------
+
+def ref_entails(space, phi, psi, p=1.0):
+    phi = value_vector(space, phi)
+    psi = value_vector(space, psi)
+    ratios = tuple(mul_div(a, b) for a, b in zip(phi.values, psi.values))
+    return p_mean(forall_p(p), ValueVector(space, ratios))
+
+
+def _ref_report(check, lhs, rhs, verdict, details):
+    return EntailmentReport(check, lhs, rhs, 0.0 if lhs == rhs else lhs - rhs, verdict,
+                            details)
+
+
+def _ref_rel_close(a, b):
+    if a == b:
+        return True
+    if math.isinf(a) or math.isinf(b):
+        return False
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+
+def _ref_above(a, b):
+    return a > b + 1e-12 * max(1.0, b if b != INF else 1.0)
+
+
+def ref_reflexivity_check(space, phi, p=1.0):
+    if not (p > 0.0):
+        raise QuantLogicError("INVALID_P", "reflexivity check needs p > 0")
+    value = ref_entails(space, phi, phi, p)
+    mass = space.total_mass
+    if p == INF:
+        expected = 1.0
+    elif mass < INF:
+        try:
+            expected = mass ** (-1.0 / p)
+        except OverflowError:
+            expected = INF
+    else:
+        m, e = space.scaled_mass()
+        expected = math.exp(-(math.log(m) + e * math.log(2.0)) / p)
+    verdict = "holds" if _ref_rel_close(value, expected) else "violated"
+    return _ref_report("reflexivity", value, expected, verdict, {"total_mass": mass, "p": p})
+
+
+def ref_adjunction_check(space_i, space_k, rho, psi, p=1.0):
+    if not (space_i.is_probability and space_k.is_probability):
+        raise QuantLogicError("NOT_PROBABILITY", "adjunction check needs probability spaces")
+    rho = check_mul_table(rho)
+    psi = check_mul_table(psi)
+    ni, nk = len(space_i), len(space_k)
+    if len(rho) != ni * nk or len(psi) != ni:
+        raise QuantLogicError("VALUE_COUNT", "rho must be I x K, psi over I")
+    marginal = tuple(p_mean(exists_p(p), ValueVector(space_k, rho[i * nk:(i + 1) * nk]))
+                     for i in range(ni))
+    lhs = ref_entails(space_i, marginal, psi, p)
+    pulled = tuple(psi[i] for i in range(ni) for _ in range(nk))
+    rhs = ref_entails(product_space(space_i, space_k), rho, pulled, p)
+    verdict = "holds" if _ref_rel_close(lhs, rhs) else "violated"
+    return _ref_report("adjunction", lhs, rhs, verdict, {"p": p})
+
+
+def _ref_transitivity_report(space, phi, psi, sigma, p, source):
+    e1 = ref_entails(space, phi, psi, p)
+    e2 = ref_entails(space, psi, sigma, p)
+    e3 = ref_entails(space, phi, sigma, p)
+    lhs = mul_tensor(e1, e2)
+    if _ref_above(lhs, e3):
+        return _ref_report("transitivity", lhs, e3, "violated",
+                           {"phi": phi, "psi": psi, "sigma": sigma, "p": p, "source": source,
+                            "entailments": (e1, e2, e3), "space": space})
+    return None
+
+
+def ref_transitivity_search(space, p=1.0, trials=1000, seed=0):
+    rng = random.Random(seed)
+    n = len(space)
+    lo, hi = math.log(1e-3), math.log(1e3)
+
+    def vec():
+        return tuple(math.exp(rng.uniform(lo, hi)) for _ in range(n))
+
+    for trial in range(trials):
+        report = _ref_transitivity_report(space, vec(), vec(), vec(), p,
+                                          {"kind": "random", "trial": trial})
+        if report is not None:
+            return report
+    report = _ref_transitivity_report(*canned_transitivity_witness(), p, {"kind": "canned"})
+    if report is not None:
+        return report
+    raise QuantLogicError("NO_VIOLATION_FOUND", "no transitivity violation found")
+
+
+def ref_reindex_monotonicity_check(f, phi, psi, p=1.0):
+    if not f.measure_non_increasing:
+        raise QuantLogicError("MAP_NOT_NONINCREASING", "point map increases mass somewhere")
+    phi = check_mul_table(phi)
+    psi = check_mul_table(psi)
+    lhs = ref_entails(f.target, phi, psi, p)
+    pulled_phi = tuple(phi[f(i)] for i in range(len(f.source)))
+    pulled_psi = tuple(psi[f(i)] for i in range(len(f.source)))
+    rhs = ref_entails(f.source, pulled_phi, pulled_psi, p)
+    return _ref_report("reindex-monotonicity", lhs, rhs,
+                       "holds" if lhs <= rhs + 1e-12 else "violated", {"p": p})
+
+
+def ref_pushforward_density(f, phi):
+    phi = check_mul_table(phi)
+    if len(phi) != len(f.source):
+        raise QuantLogicError("VALUE_COUNT", "phi must live on the source space")
+    image = set(f.assignment)
+    for j in sorted(image):
+        if f.target.weights[j] == 0.0:
+            raise QuantLogicError("ZERO_TARGET_WEIGHT", "target point is hit but has weight 0")
+    out = []
+    for j in range(len(f.target)):
+        if j not in image:
+            out.append(0.0)
+            continue
+        terms = [mul_tensor(phi[i], f.source.weights[i]) for i in f.fiber(j)]
+        out.append(mul_div(f.target.weights[j], kahan_sum(terms)))
+    return tuple(out)
+
+
+def ref_laxity_check(f, phi, psi):
+    phi = check_mul_table(phi)
+    psi = check_mul_table(psi)
+    lhs = tuple(mul_tensor(a, b) for a, b in
+                zip(ref_pushforward_density(f, phi), ref_pushforward_density(f, psi)))
+    product = tuple(mul_tensor(a, b) for a, b in zip(phi, psi))
+    rhs = ref_pushforward_density(f, product)
+    lax_fails = any(_ref_above(a, b) for a, b in zip(lhs, rhs))
+    colax_fails = any(_ref_above(b, a) for a, b in zip(lhs, rhs))
+    return _ref_report("laxity", max(lhs), max(rhs),
+                       "violated" if (lax_fails or colax_fails) else "holds",
+                       {"pointwise_lhs": lhs, "pointwise_rhs": rhs,
+                        "lax_fails": lax_fails, "colax_fails": colax_fails})
+
+
+def _ref_check_p(p, positive):
+    p = float(p)
+    if math.isnan(p) or p < 0.0 or (positive and p == 0.0):
+        raise QuantLogicError("INVALID_P", f"bad order {p!r}")
+    return p
+
+
+def ref_softmax_p(f, p):
+    p = _ref_check_p(p, positive=True)
+    mean = p_mean(exists_p(p), f)
+    if mean == 0.0:
+        raise QuantLogicError("ZERO_PREDICATE", "softmax of an (essentially) zero vector")
+    return tuple(mul_div(mean, v) for v in f.values)
+
+
+def ref_renyi_entropy(phi, p):
+    p = _ref_check_p(p, positive=False)
+    sp = SignedP(Polarity.EXISTENTIAL if p >= 1.0 else Polarity.UNIVERSAL, abs(p - 1.0))
+    return escort_quantifier(ADD, sp, phi.space, phi.masses, [napier(m) for m in phi.masses])
+
+
+def ref_renyi_formula_path(phi, p):
+    p = _ref_check_p(p, positive=True)
+    if p == 1.0 or p == INF:
+        raise QuantLogicError("INVALID_P", "formula path needs p outside {1, inf}")
+    logphi = [napier(mul_dual(m)) for m in phi.masses]
+    space = phi.space
+    env = make_environment("add", {space.name: space},
+                           {"a": AtomTable((space.name,), tuple(logphi))})
+    formula = Quant(Polarity.UNIVERSAL, p, "x", space.name, Atom("a", ("x",)))
+    value = evaluate(formula, Context(), env).table[0]
+    k = p / (1.0 - p)
+    if value in (INF, -INF):
+        return -value if k < 0 else value
+    return k * value
+
+
+def canonical(x):
+    """x with every float spelled by float.hex, for bit-for-bit comparison."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return [canonical(v) for v in x]
+    if isinstance(x, dict):
+        return {k: canonical(v) for k, v in x.items()}
+    if isinstance(x, EntailmentReport):
+        return canonical([x.check, x.lhs, x.rhs, x.gap, x.verdict, x.details])
+    return x
+
+
+def outcome(fn, *args):
+    """fn(*args) as ("ok", its canonical value), or the error it raised."""
+    try:
+        return "ok", canonical(fn(*args))
+    except QuantLogicError as err:
+        return "error", err.code
+    except (TypeError, ValueError) as err:
+        return "error", type(err).__name__

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantlogic import (
     INF,
@@ -25,7 +26,9 @@ from quantlogic import (
     transitivity_search,
     uniform_space,
 )
-from helpers import assert_close
+from helpers import (assert_close, outcome, ref_adjunction_check, ref_entails,
+                     ref_laxity_check, ref_pushforward_density, ref_reflexivity_check,
+                     ref_reindex_monotonicity_check, ref_transitivity_search)
 
 P_GRID = (0.5, 1.0, 2.0, 7.0, INF)
 
@@ -294,3 +297,93 @@ def test_reflexivity_of_an_all_zero_phi():
     report = reflexivity_check(uniform_space(3), (0.0, 0.0, 0.0), 2.0)
     assert report.lhs == INF and report.rhs == 1.0
     assert report.verdict == "violated"
+
+
+# ---------------------------------------------------------------------------
+# the table path against the scalar formulation (helpers), bit for bit
+# ---------------------------------------------------------------------------
+
+P_CORNERS = (0.0, 0.5, 1.0, 2.0, 7.0, INF)
+WEIGHTS = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.05, 4.0))
+VALUES = st.one_of(st.sampled_from((0.0, 1.0, INF)), st.floats(1e-3, 1e3))
+
+
+def table(data, n):
+    return tuple(data.draw(st.lists(VALUES, min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(WEIGHTS, min_size=1, max_size=5), st.sampled_from(P_CORNERS), st.data())
+def test_entailments_match_the_scalar_formulation(ws, p, data):
+    n = len(ws)
+    space = make_space(range(n), ws, name="I")  # all weights 0: EMPTY_SUPPORT
+    phi, psi = table(data, n), table(data, n)
+    assert outcome(entails, space, phi, psi, p) == outcome(ref_entails, space, phi, psi, p)
+    assert outcome(reflexivity_check, space, phi, p) \
+        == outcome(ref_reflexivity_check, space, phi, p)
+    seed = data.draw(st.integers(0, 99))
+    assert outcome(transitivity_search, space, p, 3, seed) \
+        == outcome(ref_transitivity_search, space, p, 3, seed)
+    if sum(ws) > 0.0:
+        space_i = normalize(space)
+        space_k = normalize(make_space(range(3), data.draw(
+            st.lists(WEIGHTS, min_size=3, max_size=3).filter(any)), name="K"))
+        rho = table(data, 3 * n)
+        assert outcome(adjunction_check, space_i, space_k, rho, psi, p) \
+            == outcome(ref_adjunction_check, space_i, space_k, rho, psi, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(WEIGHTS, min_size=1, max_size=6), st.integers(1, 3),
+       st.sampled_from(P_CORNERS), st.data())
+def test_point_map_checks_match_the_scalar_formulation(ws, m, p, data):
+    n = len(ws)
+    source = make_space(range(n), ws, name="S")
+    assignment = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    # target weights around the fiber masses: some maps increase mass, and a
+    # point in the image may have weight 0
+    fiber_mass = [math.fsum(w for w, j in zip(ws, assignment) if j == t) for t in range(m)]
+    scale = data.draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.0)), min_size=m, max_size=m))
+    f = PointMap(source, make_space(range(m), [w * s for w, s in zip(fiber_mass, scale)],
+                                    name="T"), assignment)
+    phi, psi = table(data, n), table(data, n)
+    phi_t, psi_t = table(data, m), table(data, m)
+    assert outcome(reindex_monotonicity_check, f, phi_t, psi_t, p) \
+        == outcome(ref_reindex_monotonicity_check, f, phi_t, psi_t, p)
+    assert outcome(pushforward_density, f, phi) == outcome(ref_pushforward_density, f, phi)
+    assert outcome(laxity_check, f, phi, psi) == outcome(ref_laxity_check, f, phi, psi)
+
+
+NAN = math.nan
+_S = make_space(["a", "b"], [0.5, 0.5], name="I")
+_K = uniform_space(2, name="K")
+_F = PointMap(_S, make_space(["t"], [1.0], name="T"), (0, 0))
+MALFORMED = [
+    (entails, ref_entails, (_S, (1.0, NAN), (1.0, 2.0), -1.0)),
+    (entails, ref_entails, (_S, (1.0,), (1.0, -2.0), 1.0)),
+    (entails, ref_entails, (_S, (1.0, 2.0), (1.0, 2.0), NAN)),
+    (entails, ref_entails, (_S, (1.0, 2.0), (1.0, 2.0), "x")),
+    (reflexivity_check, ref_reflexivity_check, (_S, (1.0, NAN), 0.0)),
+    (reflexivity_check, ref_reflexivity_check, (_S, (1.0, NAN), 2.0)),
+    (reflexivity_check, ref_reflexivity_check, (_S, (1.0,), NAN)),
+    (adjunction_check, ref_adjunction_check, (_S, _K, (1.0,) * 3, (1.0, -1.0), -1.0)),
+    (adjunction_check, ref_adjunction_check, (_S, _K, (1.0,) * 4, (1.0, 2.0), NAN)),
+    (adjunction_check, ref_adjunction_check, (_S, _K, (1.0,) * 4, (1.0,), 1.0)),
+    (transitivity_search, ref_transitivity_search, (_S, -1.0, 2, 0)),
+    (reindex_monotonicity_check, ref_reindex_monotonicity_check,
+     (_F, (1.0, 2.0), (NAN,), 1.0)),
+    (reindex_monotonicity_check, ref_reindex_monotonicity_check, (_F, (1.0,), (2.0,), -1.0)),
+    (reindex_monotonicity_check, ref_reindex_monotonicity_check, (_F, (1.0, 2.0), (2.0,), 1.0)),
+    (pushforward_density, ref_pushforward_density, (_F, (1.0,))),
+    (pushforward_density, ref_pushforward_density, (_F, (1.0, -1.0))),
+    (laxity_check, ref_laxity_check, (_F, (1.0, 2.0), (1.0,))),
+    (laxity_check, ref_laxity_check, (_F, (1.0,), (1.0, NAN))),
+]
+
+
+@pytest.mark.parametrize("check, reference, args", MALFORMED,
+                         ids=lambda x: getattr(x, "__name__", ""))
+def test_malformed_inputs_raise_as_the_scalar_formulation(check, reference, args):
+    got = outcome(check, *args)
+    assert got[0] == "error"
+    assert got == outcome(reference, *args)

@@ -1,5 +1,6 @@
 """Grammar round-trips, parse errors, well-formedness, and translation."""
 
+import inspect
 import math
 import os
 import random
@@ -32,7 +33,7 @@ from quantlogic import (
     translate_environment,
     translate_formula,
 )
-from quantlogic.formulas import Formula, _tokenize, walk
+from quantlogic.formulas import Formula, _tokenize, fold, walk
 from quantlogic.pmeans import Polarity
 import parse_corpus
 from helpers import coherence_environment, formulas_close, random_formula
@@ -313,6 +314,19 @@ def test_evaluate_walks_its_formula_once(monkeypatch, mode):
     monkeypatch.undo()
     assert len(reads) == edges == 5
     assert pred == evaluate(f, Context(), env)
+
+
+def test_the_public_walks_take_no_walk_of_the_caller():
+    # a caller cannot hand check_wellformed or fold the walk of another formula
+    assert list(inspect.signature(check_wellformed).parameters) == ["f", "ctx", "env"]
+    assert list(inspect.signature(fold).parameters) == ["f", "combine"]
+    env = coherence_environment(random.Random(5))
+    good, bad = parse("E^1 (x in I). phi(x)"), parse("E^1 (x in I). nope(x)")
+    with pytest.raises(QuantLogicError) as err:
+        check_wellformed(bad, Context(), env)
+    assert err.value.code == "UNKNOWN_ATOM"
+    assert fold(bad, lambda node, bound, kids: 1 + sum(kids)) == len(walk(bad)) == 2
+    assert check_wellformed(good, Context(), env) is good
 
 
 def test_context_rejects_a_repeated_variable():

@@ -15,8 +15,10 @@ from quantlogic import (
     point_map,
     product_space,
     pushforward_measure,
+    reindex_monotonicity_check,
     uniform_space,
 )
+from quantlogic.extreal import kahan_sum
 
 
 def test_make_space_basic():
@@ -113,6 +115,27 @@ def test_pushforward_preserves_mass():
         f = point_map(src, tgt, [str(rng.randrange(m)) for _ in range(n)])
         assert math.fsum(pushforward_measure(f)) == pytest.approx(
             src.total_mass, rel=1e-12, abs=1e-15)
+
+
+def test_pushforward_sums_each_fiber_correctly_rounded():
+    # a naive running sum reads 100000.20000000001 here, above the target weight
+    weights = [100000.0, 0.1, 0.1]
+    src = make_space(range(3), weights)
+    pt = make_space(["*"], [kahan_sum(weights)], name="PT")
+    collapse = point_map(src, pt, ["*"] * 3)
+    assert pushforward_measure(collapse) == (100000.2,)
+    assert collapse.measure_non_increasing
+    report = reindex_monotonicity_check(collapse, (2.0,), (3.0,))
+    assert report.holds
+
+
+def test_collapsing_many_equal_weights_keeps_the_mass():
+    # a naive running sum of 200000 weights 1/200000 reads 1.0000000000023175,
+    # beyond the 1e-12 slack of a target point of weight 1
+    n = 200_000
+    collapse = PointMap(uniform_space(n), make_space(["*"], [1.0], name="PT"), (0,) * n)
+    assert pushforward_measure(collapse) == (1.0,)
+    assert collapse.measure_non_increasing
 
 
 def test_measure_non_increasing_flag():

@@ -27,7 +27,8 @@ from quantlogic import (
     softmax_p,
     uniform_space,
 )
-from helpers import assert_close
+from helpers import (assert_close, outcome, ref_renyi_entropy, ref_renyi_formula_path,
+                     ref_softmax_p)
 
 
 def test_softmax_worked_example():
@@ -326,3 +327,41 @@ def test_energy_functions_have_one_energy_per_point():
     with pytest.raises(QuantLogicError) as err:
         energy_function(counting_space(3), (1.0, 2.0))
     assert err.value.code == "VALUE_COUNT"
+
+
+# ---------------------------------------------------------------------------
+# the table path against the scalar formulation (helpers), bit for bit
+# ---------------------------------------------------------------------------
+
+P_CORNERS = (0.0, 0.5, 1.0, 2.0, 7.0, INF)
+WEIGHTS = st.one_of(st.just(0.0), st.just(1.0), st.floats(1.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(WEIGHTS, min_size=1, max_size=5), st.sampled_from(P_CORNERS), st.data())
+def test_statistics_match_the_scalar_formulation(ws, p, data):
+    n = len(ws)
+    space = make_space(range(n), ws)
+    values = data.draw(st.lists(st.one_of(st.sampled_from((0.0, 1.0, INF)),
+                                          st.floats(1e-3, 1e3)), min_size=n, max_size=n))
+    vec = ValueVector(space, tuple(values))
+    assert outcome(softmax_p, vec, p) == outcome(ref_softmax_p, vec, p)
+    # masses in [0, 1] integrating to 1; weights of at least 1 keep each one
+    # at most 1, and a lone positive weight 1 makes a point mass
+    raw = data.draw(st.lists(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.01, 1.0)),
+                             min_size=n, max_size=n))
+    total = math.fsum(w * r for w, r in zip(ws, raw))
+    if total > 0.0:
+        phi = distribution(space, [r / total if w > 0.0 else r for w, r in zip(ws, raw)])
+        assert outcome(renyi_entropy, phi, p) == outcome(ref_renyi_entropy, phi, p)
+        assert outcome(renyi_formula_path, phi, p) == outcome(ref_renyi_formula_path, phi, p)
+
+
+@pytest.mark.parametrize("p", [-1.0, math.nan, 0.0, 1.0, INF, "x"])
+def test_bad_orders_raise_as_the_scalar_formulation(p):
+    space = counting_space(["a", "b"])
+    vec, phi = ValueVector(space, (1.0, 2.0)), distribution(space, (0.25, 0.75))
+    for check, reference, arg in ((softmax_p, ref_softmax_p, vec),
+                                  (renyi_entropy, ref_renyi_entropy, phi),
+                                  (renyi_formula_path, ref_renyi_formula_path, phi)):
+        assert outcome(check, arg, p) == outcome(reference, arg, p)

@@ -8,8 +8,13 @@ import sys
 
 import pytest
 
-from quantlogic import (INF, Context, QuantLogicError, environment_from_dict, evaluate,
-                        extreal, parse, translate_environment, translate_formula)
+from quantlogic import (INF, Context, PointMap, QuantLogicError, ValueVector,
+                        adjunction_check, counting_space, distribution, entailment, entails,
+                        environment_from_dict, evaluate, extreal, laxity_check, make_space,
+                        normalize, parse, pmeans, pushforward_density, reflexivity_check,
+                        reindex_monotonicity_check, renyi_entropy, renyi_formula_path,
+                        softmax_p, stats, translate_environment, translate_formula,
+                        transitivity_search, uniform_space)
 from quantlogic.extreal import (ADD_OPS, ADD_TABLES, MUL_OPS, MUL_TABLES, OpCode,
                                 add_div, add_div_table, add_dual, add_dual_table,
                                 add_scalar, add_scalar_table, check_add, check_mul,
@@ -195,9 +200,10 @@ SCALAR_OPS = sorted({fn.__name__ for fn in [*MUL_OPS.values(), *ADD_OPS.values()
 
 @pytest.fixture
 def scalar_calls(monkeypatch):
-    """The number of scalar-operation calls made so far, through the module
-    or the MUL_OPS/ADD_OPS tables, not counting those one scalar operation
-    makes to another (add_div to add_cotensor)."""
+    """The number of scalar-operation calls made so far, through the module,
+    the MUL_OPS/ADD_OPS tables or the names entailment and stats import, not
+    counting those one scalar operation makes to another (add_div to
+    add_cotensor)."""
     calls, depth, spies = [0], [0], {}
     for name in SCALAR_OPS:
         def spy(*args, _fn=getattr(extreal, name)):
@@ -208,7 +214,9 @@ def scalar_calls(monkeypatch):
             finally:
                 depth[0] -= 1
         spies[getattr(extreal, name)] = spy
-        monkeypatch.setattr(extreal, name, spy)
+        for module in (extreal, entailment, stats):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
     for ops in (MUL_OPS, ADD_OPS):
         for op, fn in ops.items():
             monkeypatch.setitem(ops, op, spies[fn])
@@ -272,3 +280,81 @@ def test_a_table_with_k_corner_cells_makes_at_most_k_calls(scalar_calls, mode):
             scalar_calls[0] = 0
             table(xs)
             assert scalar_calls[0] <= k, (table, k)
+
+
+# ---------------------------------------------------------------------------
+# entailment and statistics on the table path: no scalar operation on a
+# corner-free cell, one kernel per quantified table
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """The number of quantifier kernels built so far."""
+    built, build = [0], pmeans._kernel
+
+    def spy(*args):
+        built[0] += 1
+        return build(*args)
+
+    monkeypatch.setattr(pmeans, "_kernel", spy)
+    return built
+
+
+def corner_free(rng, n):
+    return tuple(math.exp(rng.uniform(-2, 2)) for _ in range(n))
+
+
+def trials_run(report, trials):
+    source = report.details["source"]
+    return source["trial"] + 1 if source["kind"] == "random" else trials + 1
+
+
+@pytest.mark.parametrize("p", (0.5, 2.0, INF))
+def test_corner_free_checks_and_statistics_call_no_scalar_operation(scalar_calls, p):
+    rng = random.Random(23)
+    n = 60
+    space = make_space(range(n), [rng.uniform(0.5, 2.0) for _ in range(n)], name="I")
+    phi, psi = corner_free(rng, n), corner_free(rng, n)
+    # pairs of points onto a target of twice their mass
+    target = make_space(range(n // 2), [2.0 * (space.weights[2 * j] + space.weights[2 * j + 1])
+                                        for j in range(n // 2)], name="T")
+    f = PointMap(space, target, tuple(i // 2 for i in range(n)))
+    raw = corner_free(rng, n)
+    masses = [r / math.fsum(raw) for r in raw]
+    runs = {
+        "entails": lambda: entails(space, phi, psi, p),
+        "reflexivity_check": lambda: reflexivity_check(space, phi, p),
+        "adjunction_check": lambda: adjunction_check(
+            normalize(space), uniform_space(4, "K"), corner_free(rng, 4 * n), psi, p),
+        "reindex_monotonicity_check": lambda: reindex_monotonicity_check(
+            f, phi[:n // 2], psi[:n // 2], p),
+        "pushforward_density": lambda: pushforward_density(f, phi),
+        "laxity_check": lambda: laxity_check(f, phi, psi),
+        "softmax_p": lambda: softmax_p(ValueVector(space, phi), p),
+        "renyi_entropy": lambda: renyi_entropy(distribution(counting_space(n), masses), p),
+    }
+    for name, run in runs.items():
+        scalar_calls[0] = 0
+        run()
+        assert scalar_calls[0] == 0, name
+    if p < INF:  # at p = inf the formula path is undefined and transitivity holds
+        scalar_calls[0] = 0
+        renyi_formula_path(distribution(counting_space(n), masses), p)
+        assert scalar_calls[0] == 0
+        report = transitivity_search(space, p, 20, seed=3)
+        # one tensor of two entailments per trial, and no cell operation
+        assert scalar_calls[0] == trials_run(report, 20)
+
+
+@pytest.mark.parametrize("ni", (1, 4, 8))
+def test_adjunction_check_builds_three_kernels(kernels, ni):
+    rng = random.Random(ni)
+    space_i, space_k = uniform_space(ni, "I"), uniform_space(3, "K")
+    adjunction_check(space_i, space_k, corner_free(rng, 3 * ni), corner_free(rng, ni), 2.0)
+    assert kernels[0] == 3
+
+
+@pytest.mark.parametrize("trials, seed", [(0, 0), (1, 0), (40, 0), (40, 4)])
+def test_transitivity_search_builds_one_kernel_per_trial(kernels, trials, seed):
+    report = transitivity_search(uniform_space(2, "I"), 1.0, trials, seed)
+    assert kernels[0] == trials_run(report, trials)
