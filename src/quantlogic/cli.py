@@ -136,17 +136,13 @@ def _infer_context(formula: Formula, env: Environment) -> Context:
 
 
 def _atom_vector(env: Environment, atom: str, space: str | None = None) -> ValueVector:
-    if atom not in env.atoms:
-        raise QuantLogicError("UNKNOWN_ATOM", f"atom {atom!r} not in environment")
-    table = env.atoms[atom]
-    if len(table.context) != 1:
-        raise QuantLogicError("ATOM_ARITY",
-                              f"atom {atom!r} must range over exactly one space")
-    if space is not None and table.context[0] != space:
-        raise QuantLogicError("ATOM_ARITY",
-                              f"atom {atom!r} ranges over {table.context[0]!r}, "
-                              f"not {space!r}")
-    return ValueVector(env.spaces[table.context[0]], table.values)
+    """The values of atom(x), x in the named space or else in the atom's own;
+    evaluate reports an unknown atom or one that takes no single such x."""
+    f = Atom(atom, ("x",))
+    ctx = _infer_context(f, env) if space is None \
+        else Context((("x", _pick_space(env, space)),))
+    table = evaluate(f, ctx, env).table
+    return ValueVector(ctx.entries[0][1], table)
 
 
 def _pick_space(env: Environment, name: str | None) -> Space:

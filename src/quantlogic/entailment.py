@@ -145,9 +145,13 @@ def transitivity_search(space: Space, p: float = 1.0, trials: int = 1000,
     Values are drawn log-uniformly from [1e-3, 1e3].  If no random violation
     shows up, the canned witness is evaluated (on its own 2-point space);
     NO_VIOLATION_FOUND is raised only if even that fails, which would mean
-    the arithmetic is broken.
+    the arithmetic is broken.  At p = 0 and p = inf the law is a theorem, so
+    there is nothing to search for: INVALID_P.
     """
-    _check_magnitude(float(p))
+    if _check_magnitude(float(p)) in (0.0, INF):
+        raise QuantLogicError("INVALID_P",
+                              "transitivity holds at p = 0 (geometric means multiply) and "
+                              "at p = inf (minimum residuals compose); search at 0 < p < inf")
     rng = random.Random(seed)
     lo, hi = math.log(1e-3), math.log(1e3)
 
@@ -195,14 +199,15 @@ def pushforward_density(f: PointMap, phi) -> tuple[MulReal, ...]:
     phi = check_mul_table(phi)
     if len(phi) != len(f.source):
         raise QuantLogicError("VALUE_COUNT", "phi must live on the source space")
-    image = sorted(set(f.assignment))
+    fibers = f._fibers()
+    image = [j for j, fiber in enumerate(fibers) if fiber]
     for j in image:
         if f.target.weights[j] == 0.0:
             raise QuantLogicError(
                 "ZERO_TARGET_WEIGHT",
                 f"target point {f.target.points[j]!r} is hit but has weight 0")
     terms = mul_tensor_table(phi, f.source.weights)
-    sums = [kahan_sum([terms[i] for i in f.fiber(j)]) for j in image]
+    sums = [kahan_sum([terms[i] for i in fibers[j]]) for j in image]
     densities = dict(zip(image, mul_div_table([f.target.weights[j] for j in image], sums)))
     return tuple(densities.get(j, 0.0) for j in range(len(f.target)))
 

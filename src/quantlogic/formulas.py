@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, TypeVar
 
 from .errors import FormulaSyntaxError, QuantLogicError
 from .extreal import (INF, MUL_CONSTANTS, VALUE_LITERAL, OpCode, check_add, check_mul,
@@ -254,14 +254,11 @@ _TOKEN_RE = re.compile(r"\s*(?:(%s|(?:%s)(?![A-Za-z0-9_]))|([A-Za-z_][A-Za-z0-9_
                            "|".join(sorted(RESERVED)), VALUE_LITERAL.pattern))
 
 
-class _Token(NamedTuple):
-    kind: str  # NUMBER IDENT OP LIMP LPAREN RPAREN DOT COMMA CARET DUAL EOF
-    value: object
-    pos: int
-
-
 def _scan(text: str) -> list[tuple]:
-    """The tokens of text as plain (kind, value, pos) tuples, EOF last."""
+    """The tokens of text as plain (kind, value, pos) tuples, EOF last.
+
+    The kinds are NUMBER IDENT OP LIMP LPAREN RPAREN DOT COMMA CARET DUAL EOF.
+    """
     toks: list[tuple] = []
     emit = toks.append
     for m in _TOKEN_RE.finditer(text):
@@ -282,11 +279,6 @@ def _scan(text: str) -> list[tuple]:
             emit(("EOF", None, m.start(5)))
             break
     return toks
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of text with named fields."""
-    return [_Token(*tok) for tok in _scan(text)]
 
 
 # --------------------------------------------------------------------------

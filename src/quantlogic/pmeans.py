@@ -243,11 +243,9 @@ def _quantifier(c: Carrier, polarity: Polarity, p: float, weights: Sequence[floa
     a weight w underflowed: such a point stays in the support.
     """
     if log_weights is None:
-        support = [i for i, w in enumerate(weights) if w > 0.0]
-        lws = [math.log(weights[i]) for i in support]
-    else:
-        support = [i for i, lw in enumerate(log_weights) if lw > -INF]
-        lws = [log_weights[i] for i in support]
+        log_weights = [math.log(w) if w > 0.0 else -INF for w in weights]
+    support = [i for i, lw in enumerate(log_weights) if lw > -INF]
+    lws = [log_weights[i] for i in support]
     if not support:
         raise QuantLogicError("EMPTY_SUPPORT", f"{where} has empty support")
     aggregate = _kernel(c, polarity, p, [weights[i] for i in support], lws)

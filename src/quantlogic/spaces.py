@@ -134,9 +134,17 @@ class PointMap:
     def __call__(self, i: int) -> int:
         return self.assignment[i]
 
+    def _fibers(self) -> list[list[int]]:
+        """The source indices mapping onto each target index, in one pass."""
+        fibers: list[list[int]] = [[] for _ in self.target.points]
+        for i, j in enumerate(self.assignment):
+            fibers[j].append(i)
+        return fibers
+
     def fiber(self, j: int) -> tuple[int, ...]:
         """Source indices mapping onto target index j."""
-        return tuple(i for i, t in enumerate(self.assignment) if t == j)
+        fibers = self._fibers()
+        return tuple(fibers[j]) if 0 <= j < len(fibers) else ()
 
     @property
     def measure_non_increasing(self) -> bool:
@@ -166,7 +174,5 @@ def compose(g: PointMap, f: PointMap) -> PointMap:
 
 def pushforward_measure(f: PointMap) -> tuple[float, ...]:
     """Fiber-wise sums of source weights, as a measure on the target."""
-    fibers = [[] for _ in f.target.points]
-    for w, j in zip(f.source.weights, f.assignment):
-        fibers[j].append(w)
-    return tuple(map(kahan_sum, fibers))
+    ws = f.source.weights
+    return tuple([kahan_sum([ws[i] for i in fiber]) for fiber in f._fibers()])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .environment import AtomTable, make_environment
+from .environment import AtomTable, Environment
 from .errors import QuantLogicError
 from .extreal import (INF, AddReal, MulReal, check_add_table, check_mul_table,
                       mul_div_table, mul_dual, mul_dual_table, napier_table)
@@ -88,9 +88,10 @@ def energy_function(space: Space, energies) -> EnergyFunction:
 def _universal(mode: str, space: Space, values, p: float, body: Formula,
                free: tuple[str, ...] = ()) -> tuple[float, ...]:
     """The table of ``A^p (x in S). body`` over the variables ``free``, all in S,
-    where the atom ``a`` over S holds the given values."""
-    env = make_environment(mode, {space.name: space},
-                           {"a": AtomTable((space.name,), tuple(values))})
+    where the atom ``a`` over S holds the given values.  The callers have
+    checked them, so the environment is built unchecked, as
+    ``translate_environment`` builds its own."""
+    env = Environment(mode, {space.name: space}, {"a": AtomTable((space.name,), tuple(values))})
     formula = Quant(Polarity.UNIVERSAL, p, "x", space.name, body)
     return evaluate(formula, Context(tuple((v, space) for v in free)), env).table
 

@@ -366,6 +366,8 @@ def _ref_transitivity_report(space, phi, psi, sigma, p, source):
 
 
 def ref_transitivity_search(space, p=1.0, trials=1000, seed=0):
+    if p in (0.0, INF):  # the law is a theorem there
+        raise QuantLogicError("INVALID_P", "transitivity holds at p = 0 and p = inf")
     rng = random.Random(seed)
     n = len(space)
     lo, hi = math.log(1e-3), math.log(1e3)

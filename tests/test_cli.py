@@ -427,6 +427,19 @@ def test_installed_entry_point(envfile, tmp_path):
     assert proc.stdout == "# true [mul]\n()\tinf\n"
 
 
+def test_the_package_imports_only_the_standard_library():
+    # compare before and after, since site hooks may preload other packages
+    code = ("import sys; before = set(sys.modules); import quantlogic, quantlogic.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(quantlogic.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env, check=True)
+    new = proc.stdout.split()
+    assert "quantlogic" in new
+    assert [m for m in new if m != "quantlogic" and m not in sys.stdlib_module_names] == []
+
+
 def test_eval_definite_separator(envfile, capsys):
     rc, out, _ = run(capsys, "eval", "--env", envfile, "f(x) \\/ true",
                      "--separator", "definite")
@@ -529,6 +542,15 @@ def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
         assert main(shlex.split(line)[1:]) == 0, line
 
 
+def test_readme_library_example_shows_its_results():
+    # each line that ends in "# <value>" must evaluate to that value
+    source = re.sub(r"^(.+?)\s+# (.+)$", r"shown.append((\1, \2))",
+                    _readme_block("python", "from quantlogic import"), flags=re.MULTILINE)
+    shown: list = []
+    exec(source, {"shown": shown})
+    assert shown == [(5.0, 5.0), ((5.0,), (5.0,))]
+
+
 def test_plot_data_grid_of_one_point(envfile, capsys):
     rc, out, _ = run(capsys, "plot-data", "--env", envfile, "f", "--grid", "2:3:1")
     assert rc == 0
@@ -550,6 +572,18 @@ def test_atom_commands_check_the_atom(envfile, capsys, argv, code):
     assert rc == 1
     assert err.startswith(f"error[{code}]")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["plot-data", "f", "K"], "error[ATOM_ARITY]: atom 'f' expects a 'I' variable, "
+                              "but 'x' ranges over 'K'"),
+    (["plot-data", "f", "Nope"], "error[UNKNOWN_SPACE]: space 'Nope' not in environment"),
+    (["plot-data", "zeta", "Nope"], "error[UNKNOWN_SPACE]: space 'Nope' not in environment"),
+    (["softmax", "r"], "error[ATOM_ARITY]: atom 'r' takes 2 arguments, got 1"),
+])
+def test_atom_commands_report_the_library_error(envfile, capsys, argv, message):
+    rc, out, err = run(capsys, argv[0], "--env", envfile, *argv[1:])
+    assert (rc, out, err) == (1, "", message + "\n")
 
 
 def test_doctrine_reflexivity_unknown_space(envfile, capsys):

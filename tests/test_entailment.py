@@ -15,6 +15,7 @@ from quantlogic import (
     canned_transitivity_witness,
     counting_space,
     entails,
+    identity_map,
     kahan_sum,
     laxity_check,
     make_space,
@@ -168,6 +169,20 @@ def test_transitivity_search_falls_back_to_canned():
     assert report.details["source"]["kind"] == "canned"
 
 
+@pytest.mark.parametrize("p", [0.0, INF])
+def test_transitivity_search_where_the_law_is_a_theorem(p):
+    # geometric means multiply, and minimum residuals compose
+    with pytest.raises(QuantLogicError) as err:
+        transitivity_search(uniform_space(3), p=p, trials=5, seed=0)
+    assert err.value.code == "INVALID_P"
+
+
+def test_transitivity_search_finds_a_violation_at_p_7():
+    # p = 1: test_transitivity_search_finds_a_violation
+    report = transitivity_search(uniform_space(3), p=7.0, trials=200, seed=0)
+    assert report.verdict == "violated" and report.lhs > report.rhs
+
+
 # ---------------------------------------------------------------------------
 # reindexing
 # ---------------------------------------------------------------------------
@@ -242,6 +257,26 @@ def test_pushforward_composes():
     one_step = pushforward_density(gf, phi)
     for x, y in zip(two_steps, one_step):
         assert_close(x, y, 1e-12)
+
+
+def test_pushforward_reads_the_assignment_in_one_pass():
+    class CountedReads(tuple):
+        reads = 0
+
+        def __iter__(self):
+            CountedReads.reads += len(self)
+            return super().__iter__()
+
+        def __getitem__(self, i):
+            CountedReads.reads += 1
+            return super().__getitem__(i)
+
+    space = counting_space(8000)
+    f = identity_map(space)
+    f = PointMap(f.source, f.target, CountedReads(f.assignment))
+    CountedReads.reads = 0
+    assert pushforward_density(f, (2.0,) * len(space)) == (2.0,) * len(space)
+    assert CountedReads.reads <= 2 * len(space)
 
 
 def test_pushforward_rejects_zero_weight_targets():

@@ -33,7 +33,7 @@ from quantlogic import (
     translate_environment,
     translate_formula,
 )
-from quantlogic.formulas import Formula, _tokenize, fold, walk
+from quantlogic.formulas import Formula, _scan, fold, walk
 from quantlogic.pmeans import Polarity
 import parse_corpus
 from helpers import coherence_environment, formulas_close, random_formula
@@ -132,11 +132,11 @@ def test_syntax_errors(text, fragment):
 def test_token_streams(text, tokens):
     if isinstance(tokens, tuple):
         with pytest.raises(FormulaSyntaxError) as err:
-            _tokenize(text)
+            _scan(text)
         assert tokens[0] in err.value.message
         assert err.value.position == tokens[1]
     else:
-        assert [(t.kind, t.value, t.pos) for t in _tokenize(text)] == tokens
+        assert _scan(text) == tokens
 
 
 def test_front_end_reproduces_the_differential_corpus():

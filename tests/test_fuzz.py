@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from quantlogic import FormulaSyntaxError, QuantLogicError, format_formula, parse, parse_value
 from quantlogic.cli import _infer_context, main
 from quantlogic.environment import load_environment
-from quantlogic.formulas import _tokenize
+from quantlogic.formulas import _scan
 
 # Token spellings and near misses; "²" and "①" pass str.isdigit()
 # but are no decimal digits.  No piece starts with "h", so that no text can
@@ -87,13 +87,13 @@ def test_value_literals_read_alike_in_values_and_formulas(text):
         assert exc.code == "INVALID_VALUE"
         value = None
     try:
-        toks = _tokenize(text)
+        toks = _scan(text)
     except FormulaSyntaxError:
         toks = []
-    one_number = [t.kind for t in toks] == ["NUMBER", "EOF"]
+    one_number = [kind for kind, _, _ in toks] == ["NUMBER", "EOF"]
     assert one_number == (value is not None)
     if one_number:
-        assert toks[0].value.hex() == value.hex()
+        assert toks[0][1].hex() == value.hex()
 
 
 @settings(max_examples=150, deadline=None)
