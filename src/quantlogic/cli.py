@@ -1,14 +1,10 @@
 """Command-line front end.
 
-Subcommands
------------
-eval       evaluate a formula against an environment, print a labeled table
-plot-data  CSV of p-sums/p-means/extrema of an atom over a p grid
-softmax    soft normalization of an atom's values at a given p
-entropy    order-p entropy and diversity of a unitary atom
-doctrine   run one of the entailment diagnostics (reflexivity, adjunction,
-           transitivity-search, laxity)
-translate  rewrite a formula into the other carrier
+``_SUBCOMMANDS`` lists the subcommands (eval, plot-data, softmax, entropy,
+doctrine, translate), each with its help line, the function that adds its
+arguments and the function that runs it.  A call builds only the parser of the
+subcommand it names; ``--help``, no arguments or an unknown command build all
+six.  Either way the usage and help texts are the same.
 
 Values (``--p``, ``t=``, the ends of ``--grid``) are read by ``parse_value``,
 and counts and seeds as ASCII-digit integers;
@@ -276,70 +272,79 @@ def _cmd_translate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="quantlogic",
-                     description="quantitative predicate logic toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_env(p):
-        p.add_argument("--env", required=True, help="environment JSON path")
-
-    p_eval = sub.add_parser("eval", help="evaluate a formula")
-    add_env(p_eval)
-    p_eval.add_argument("formula")
-    p_eval.add_argument("--mode", choices=("mul", "add"))
-    p_eval.add_argument("--separator",
-                        help="unitary | definite | t=<value>; adds a Boolean column")
-
-    p_plot = sub.add_parser("plot-data", help="p-sum/p-mean CSV over a p grid")
-    add_env(p_plot)
-    p_plot.add_argument("atom")
-    p_plot.add_argument("space", nargs="?")
-    p_plot.add_argument("--grid", default="0.25:8:32", help="lo:hi:n")
-
-    p_soft = sub.add_parser("softmax", help="soft normalization of an atom")
-    add_env(p_soft)
-    p_soft.add_argument("atom")
-    p_soft.add_argument("--p", type=parse_value, default=1.0)
-
-    p_ent = sub.add_parser("entropy", help="order-p entropy and diversity")
-    add_env(p_ent)
-    p_ent.add_argument("atom")
-    p_ent.add_argument("--p", type=parse_value, default=1.0)
-
-    p_doc = sub.add_parser("doctrine", help="entailment diagnostics")
-    add_env(p_doc)
-    p_doc.add_argument("check", choices=("reflexivity", "adjunction",
-                                         "transitivity-search", "laxity"))
-    p_doc.add_argument("--p", type=parse_value, default=1.0)
-    p_doc.add_argument("--seed", type=_integer, default=0)
-    p_doc.add_argument("--trials", type=_positive_int, default=100)
-    p_doc.add_argument("--atom")
-    p_doc.add_argument("--space")
-    p_doc.add_argument("--space2")
-
-    p_tr = sub.add_parser("translate", help="rewrite a formula into the other carrier")
-    p_tr.add_argument("formula")
-    p_tr.add_argument("--mode", choices=("mul", "add"), required=True,
-                      help="target carrier")
-    return parser
+def _env_args(p):
+    p.add_argument("--env", required=True, help="environment JSON path")
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "plot-data": _cmd_plot_data,
-    "softmax": _cmd_softmax,
-    "entropy": _cmd_entropy,
-    "doctrine": _cmd_doctrine,
-    "translate": _cmd_translate,
+def _eval_args(p):
+    _env_args(p)
+    p.add_argument("formula")
+    p.add_argument("--mode", choices=("mul", "add"))
+    p.add_argument("--separator", help="unitary | definite | t=<value>; adds a Boolean column")
+
+
+def _plot_data_args(p):
+    _env_args(p)
+    p.add_argument("atom")
+    p.add_argument("space", nargs="?")
+    p.add_argument("--grid", default="0.25:8:32", help="lo:hi:n")
+
+
+def _atom_p_args(p):  # softmax and entropy
+    _env_args(p)
+    p.add_argument("atom")
+    p.add_argument("--p", type=parse_value, default=1.0)
+
+
+def _doctrine_args(p):
+    _env_args(p)
+    p.add_argument("check", choices=("reflexivity", "adjunction",
+                                     "transitivity-search", "laxity"))
+    p.add_argument("--p", type=parse_value, default=1.0)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--atom")
+    p.add_argument("--space")
+    p.add_argument("--space2")
+
+
+def _translate_args(p):
+    p.add_argument("formula")
+    p.add_argument("--mode", choices=("mul", "add"), required=True, help="target carrier")
+
+
+# The only list of subcommands: name -> (help line, adds its arguments, runs it).
+_SUBCOMMANDS = {
+    "eval": ("evaluate a formula", _eval_args, _cmd_eval),
+    "plot-data": ("p-sum/p-mean CSV over a p grid", _plot_data_args, _cmd_plot_data),
+    "softmax": ("soft normalization of an atom", _atom_p_args, _cmd_softmax),
+    "entropy": ("order-p entropy and diversity", _atom_p_args, _cmd_entropy),
+    "doctrine": ("entailment diagnostics", _doctrine_args, _cmd_doctrine),
+    "translate": ("rewrite a formula into the other carrier", _translate_args, _cmd_translate),
 }
 
 
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only the subparser of ``command``, or with all six when
+    ``command`` names no subcommand."""
+    parser = _Parser(prog="quantlogic", description="quantitative predicate logic toolkit")
+    names = (command,) if command in _SUBCOMMANDS else tuple(_SUBCOMMANDS)
+    # A given metavar renames the argument ("command") in argparse's errors, so only
+    # a parser with one subparser, whose usage line must still list all six, gets one.
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_args, _ = _SUBCOMMANDS[name]
+        add_args(sub.add_parser(name, help=help_line))
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][2](args)
     except QuantLogicError as exc:
         print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)
         return 1

@@ -143,10 +143,10 @@ def transitivity_search(space: Space, p: float = 1.0, trials: int = 1000,
     """Search random triples for a transitivity violation.
 
     Values are drawn log-uniformly from [1e-3, 1e3].  If no random violation
-    shows up, the canned witness is evaluated (on its own 2-point space);
-    NO_VIOLATION_FOUND is raised only if even that fails, which would mean
-    the arithmetic is broken.  At p = 0 and p = inf the law is a theorem, so
-    there is nothing to search for: INVALID_P.
+    shows up, the canned witness is evaluated (on its own 2-point space).
+    NO_VIOLATION_FOUND says neither showed a gap above the ``_ABS_TOL``
+    tolerance; near p = 0 or p = inf a true gap can lie below it.  At p = 0
+    and p = inf the law is a theorem, so there is nothing to search for: INVALID_P.
     """
     if _check_magnitude(float(p)) in (0.0, INF):
         raise QuantLogicError("INVALID_P",
@@ -168,7 +168,9 @@ def transitivity_search(space: Space, p: float = 1.0, trials: int = 1000,
     if report is not None:
         return report
     raise QuantLogicError("NO_VIOLATION_FOUND",
-                          "no transitivity violation found (unexpected)")
+                          f"{trials} trials and the canned witness showed no transitivity gap "
+                          f"above the {_ABS_TOL:g} tolerance; near p = 0 or p = inf a true "
+                          "gap can lie below it")
 
 
 def reindex_monotonicity_check(f: PointMap, phi, psi,

@@ -336,6 +336,15 @@ def test_doctrine_transitivity_search(envfile, capsys):
     assert "check=transitivity" in out and "verdict=violated" in out
 
 
+def test_doctrine_transitivity_search_near_p_inf(envfile, capsys):
+    # any true gap here is a few ulp, below the search's tolerance
+    rc, out, err = run(capsys, "doctrine", "--env", envfile, "transitivity-search",
+                       "--p", "1e15")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error[NO_VIOLATION_FOUND]: 100 trials and the canned witness ")
+    assert "tolerance" in err and "unexpected" not in err and "Traceback" not in err
+
+
 def test_doctrine_laxity(envfile, capsys):
     rc, out, _ = run(capsys, "doctrine", "--env", envfile, "laxity")
     assert rc == 0
@@ -379,18 +388,66 @@ def test_formula_may_begin_with_minus(tmp_path, capsys, argv, out):
 
 
 def test_consecutive_calls_share_no_state(envfile, capsys):
-    # each call sees only its own subcommand and options
-    rc, out, _ = run(capsys, "eval", "--env", envfile, "--mode", "add",
-                     "--separator", "unitary", "one")
-    assert (rc, out) == (0, "# one [add]\n()\t0\ttrue\n")
-    rc, out, _ = run(capsys, "eval", "--env", envfile, "one")
-    assert (rc, out) == (0, "# one [mul]\n()\t1\n")
-    rc, out, _ = run(capsys, "translate", "0.5", "--mode", "add")
-    assert (rc, out) == (0, repr(math.log(2.0)) + "\n")
-    rc, out, err = run(capsys, "doctrine", "--env", envfile, "reflexivity", "--space", "K")
+    # each call sees only its own subcommand and options, whatever ran before it
+    calls = [
+        ["eval", "--env", envfile, "--mode", "add", "--separator", "unitary", "one"],
+        ["eval", "--env", envfile, "one"],
+        ["plot-data", "--env", envfile, "f", "--grid", "1:2:2"],
+        ["softmax", "--env", envfile, "f", "--p", "1"],
+        ["entropy", "--env", envfile, "phi", "--p", "2"],
+        ["doctrine", "--env", envfile, "reflexivity", "--space", "K"],
+        ["translate", "0.5", "--mode", "add"],
+        ["eval", "--env", envfile],
+    ]
+    first = [run(capsys, *argv) for argv in calls]
+    assert first[0][:2] == (0, "# one [add]\n()\t0\ttrue\n")
+    assert first[1][:2] == (0, "# one [mul]\n()\t1\n")
+    assert first[2][0] == 0 and first[2][1].startswith("p,psum_pos,")
+    assert first[3][0] == 0 and first[3][1].endswith("integral=1\n")
+    assert first[4][0] == 0 and first[4][1].startswith("H=1.386294361120, D=4.0")
+    rc, out, _ = first[5]
     assert rc == 0 and "rhs=1 " in out and "p: 1.0" in out
-    rc, _, err = run(capsys, "eval", "--env", envfile)
+    assert first[6][:2] == (0, repr(math.log(2.0)) + "\n")
+    rc, _, err = first[7]
     assert rc == 1 and "the following arguments are required: formula" in err
+    # between any two calls, a help text and an unknown command change nothing
+    for argv, before in zip(calls[::-1], first[::-1]):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert run(capsys, "bogus")[0] == 1
+        assert run(capsys, *argv) == before
+
+
+def test_usage_and_help_read_as_from_the_whole_tree(envfile, capsys, monkeypatch):
+    # main builds only the named subcommand's parser; every text must be the
+    # one the parser with all six subcommands prints, in this interpreter
+    from quantlogic import cli
+
+    def outcome(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    commands = ("eval", "plot-data", "softmax", "entropy", "doctrine", "translate")
+    bogus = ("eval", "--env", envfile, "x", "--bogus")
+    argvs = [(), ("--help",), ("bogus",), bogus,
+             ("doctrine", "--env", envfile, "adjunction", "--trials", "0")]
+    argvs += [(cmd, "--help") for cmd in commands] + [(cmd,) for cmd in commands]
+    lazy = {argv: outcome(list(argv)) for argv in argvs}
+    whole = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: whole())
+    assert {argv: outcome(list(argv)) for argv in argvs} == lazy
+    usage = "usage: quantlogic [-h] {eval,plot-data,softmax,entropy,doctrine,translate} ..."
+    assert lazy[bogus] == (1, "", usage + "\nerror[USAGE]: unrecognized arguments: --bogus\n")
+    # argparse names the subcommand argument "command" (a given metavar would rename it)
+    assert lazy[()][2].endswith("error[USAGE]: the following arguments are required: command\n")
+    assert "error[USAGE]: argument command: invalid choice: 'bogus'" in lazy[("bogus",)][2]
+    for cmd in commands:
+        rc, _, err = lazy[(cmd,)]
+        assert rc == 1 and "error[USAGE]: the following arguments are required" in err
 
 
 def test_usage_errors_map_to_exit_one(envfile, capsys):
