@@ -22,8 +22,8 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import QuantLogicError
-from .extreal import (INF, MulReal, check_mul_table, mul_div_table, mul_tensor,
-                      mul_tensor_table)
+from .extreal import (INF, MulReal, _check_count, check_mul_table, mul_div_table,
+                      mul_tensor, mul_tensor_table)
 from .pmeans import MUL, Polarity, _check_magnitude, kahan_sum, value_vector
 from .spaces import PointMap, Space, make_space, product_space
 
@@ -62,7 +62,7 @@ def entails(space: Space, phi, psi, p: float = 1.0) -> MulReal:
     """Universal p-mean of the residuals phi(i) -o psi(i) over the space."""
     phi = value_vector(space, phi).values
     psi = value_vector(space, psi).values
-    return _entailments(space, phi, psi, _check_magnitude(float(p)))[0]
+    return _entailments(space, phi, psi, _check_magnitude(p))[0]
 
 
 def _entailments(space: Space, phi, psi, p: float) -> list[MulReal]:
@@ -72,10 +72,10 @@ def _entailments(space: Space, phi, psi, p: float) -> list[MulReal]:
 
 def reflexivity_check(space: Space, phi, p: float = 1.0) -> EntailmentReport:
     """entails(phi, phi, p) against the predicted total_mass^(-1/p)."""
-    if _check_magnitude(p) == 0.0:
+    if (p := _check_magnitude(p)) == 0.0:
         raise QuantLogicError("INVALID_P", "reflexivity check needs p > 0")
     phi = value_vector(space, phi).values
-    value = _entailments(space, phi, phi, float(p))[0]
+    value = _entailments(space, phi, phi, p)[0]
     mass = space.total_mass
     if p == INF:
         expected = 1.0
@@ -105,14 +105,14 @@ def adjunction_check(space_i: Space, space_k: Space, rho, psi,
                               "adjunction check needs probability spaces")
     rho = check_mul_table(rho)
     psi = check_mul_table(psi)
-    ni, nk = len(space_i), len(space_k)
-    if len(rho) != ni * nk or len(psi) != ni:
-        raise QuantLogicError("VALUE_COUNT", "rho must be I x K, psi over I")
-    order = _check_magnitude(float(p))
-    marginal = MUL.quantifier(Polarity.EXISTENTIAL, order, space_k)(rho)
-    lhs = _entailments(space_i, marginal, psi, order)[0]
+    nk = len(space_k)
+    _check_count(rho, len(space_i) * nk, "rho over I x K")
+    _check_count(psi, len(space_i), "psi over I")
+    p = _check_magnitude(p)
+    marginal = MUL.quantifier(Polarity.EXISTENTIAL, p, space_k)(rho)
+    lhs = _entailments(space_i, marginal, psi, p)[0]
     pulled = [v for v in psi for _ in range(nk)]
-    rhs = _entailments(product_space(space_i, space_k), rho, pulled, order)[0]
+    rhs = _entailments(product_space(space_i, space_k), rho, pulled, p)[0]
     verdict = "holds" if _rel_close(lhs, rhs) else "violated"
     return EntailmentReport("adjunction", lhs, rhs, _gap(lhs, rhs), verdict,
                             {"p": p})
@@ -128,7 +128,7 @@ def canned_transitivity_witness():
 
 
 def _transitivity_report(space, phi, psi, sigma, p, source) -> EntailmentReport | None:
-    e1, e2, e3 = _entailments(space, phi + psi + phi, psi + sigma + sigma, float(p))
+    e1, e2, e3 = _entailments(space, phi + psi + phi, psi + sigma + sigma, p)
     lhs = mul_tensor(e1, e2)
     if _above(lhs, e3):
         return EntailmentReport(
@@ -148,7 +148,7 @@ def transitivity_search(space: Space, p: float = 1.0, trials: int = 1000,
     tolerance; near p = 0 or p = inf a true gap can lie below it.  At p = 0
     and p = inf the law is a theorem, so there is nothing to search for: INVALID_P.
     """
-    if _check_magnitude(float(p)) in (0.0, INF):
+    if (p := _check_magnitude(p)) in (0.0, INF):
         raise QuantLogicError("INVALID_P",
                               "transitivity holds at p = 0 (geometric means multiply) and "
                               "at p = inf (minimum residuals compose); search at 0 < p < inf")
@@ -181,15 +181,14 @@ def reindex_monotonicity_check(f: PointMap, phi, psi,
                               "point map increases mass somewhere")
     phi = check_mul_table(phi)
     psi = check_mul_table(psi)
-    if len(phi) != len(f.target) or len(psi) != len(f.target):
-        raise QuantLogicError("VALUE_COUNT", "phi and psi must live on the target space")
-    order = _check_magnitude(float(p))
-    lhs = _entailments(f.target, phi, psi, order)[0]
+    _check_count(phi, len(f.target), "phi over the target space")
+    _check_count(psi, len(f.target), "psi over the target space")
+    p = _check_magnitude(p)
+    lhs = _entailments(f.target, phi, psi, p)[0]
     rhs = _entailments(f.source, [phi[j] for j in f.assignment],
-                       [psi[j] for j in f.assignment], order)[0]
-    holds = lhs <= rhs + _ABS_TOL
+                       [psi[j] for j in f.assignment], p)[0]
     return EntailmentReport("reindex-monotonicity", lhs, rhs, _gap(lhs, rhs),
-                            "holds" if holds else "violated", {"p": p})
+                            "violated" if _above(lhs, rhs) else "holds", {"p": p})
 
 
 def pushforward_density(f: PointMap, phi) -> tuple[MulReal, ...]:
@@ -198,9 +197,7 @@ def pushforward_density(f: PointMap, phi) -> tuple[MulReal, ...]:
     Every point in the image of the map must carry positive target weight;
     points outside the image get density 0.
     """
-    phi = check_mul_table(phi)
-    if len(phi) != len(f.source):
-        raise QuantLogicError("VALUE_COUNT", "phi must live on the source space")
+    phi = _check_count(check_mul_table(phi), len(f.source), "phi over the source space")
     fibers = f._fibers()
     image = [j for j, fiber in enumerate(fibers) if fiber]
     for j in image:

@@ -16,11 +16,11 @@ may be left out (or null), and are objects where they are given.
 
 Values are decoded and checked a table at a time.  A few passes over a whole
 array clear a table of plain numbers and exact value tokens (``_decode_table``,
-then the carrier's ``check_table``); the scalar codec (``_decode_number``,
-``check_mul``/``check_add``) decides, value by value, any table those passes
-cannot clear, so that the first fault is reported as the scalar codec
-reports it.  The tables the napier maps produce are carrier values by
-construction and are not checked again (``translate_environment``).
+then the carrier's ``check_table``, or ``make_space`` for weights); the scalar
+codec (``_decode_number``, then ``check_add``, the one reader of numbers)
+decides, value by value, any table those passes cannot clear, so that the
+first fault is reported as it reports it.  The napier maps' tables are carrier
+values by construction and are not checked again (``translate_environment``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import QuantLogicError
-from .extreal import INF, INF_TOKENS
+from .extreal import INF_TOKENS, _check_count
 from .pmeans import carrier
 from .spaces import Space, make_space
 
@@ -62,18 +62,15 @@ def make_environment(mode: str, spaces: dict[str, Space],
                     "UNKNOWN_SPACE",
                     f"atom {name!r} refers to unknown space {space_name!r}")
             size *= len(spaces[space_name])
-        if len(table.values) != size:
-            raise QuantLogicError(
-                "VALUE_COUNT",
-                f"atom {name!r}: expected {size} values, got {len(table.values)}")
-        checked[name] = AtomTable(table.context, check(table.values))
+        checked[name] = AtomTable(table.context,
+                                  check(_check_count(table.values, size, f"atom {name!r}")))
     return Environment(mode, dict(spaces), checked)
 
 
 _TOKEN_VALUES = {token: value for value, token in INF_TOKENS.items()}
 
 
-def _decode_number(x, where: str) -> float:
+def _decode_number(x, where: str) -> float | int:
     if isinstance(x, str):
         value = _TOKEN_VALUES.get(x.strip())
         if value is not None:
@@ -81,27 +78,21 @@ def _decode_number(x, where: str) -> float:
         raise QuantLogicError("ENV_FORMAT", f"{where}: bad value token {x!r}")
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise QuantLogicError("ENV_FORMAT", f"{where}: expected a number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:  # an integer beyond the double range, read as "1e400" is
-        return INF if x > 0 else -INF
+    return x  # read where it is checked, by check_add
 
 
-def _decode_table(xs: list, where: str) -> tuple[float, ...]:
-    """_decode_number on each value of a JSON array.
-
-    An array of numbers and exact value tokens is decoded in a few passes;
-    any other, or one holding an integer beyond the double range, goes value
-    by value, so that the first fault raises as _decode_number raises it.
-    """
+def _decode_table(xs: list, where: str) -> tuple[float | int, ...]:
+    """_decode_number on each value of a JSON array: in a few passes where they
+    are numbers and exact value tokens, else value by value, so that the first
+    fault raises as _decode_number raises it."""
     types = set(map(type, xs))
     try:
         if str in types:
             xs = list(map(_TOKEN_VALUES.get, xs, xs))
             types = set(map(type, xs))
         if types <= {float, int}:
-            return tuple(map(float, xs))
-    except (TypeError, OverflowError):  # an unhashable value, a huge integer
+            return tuple(xs)
+    except TypeError:  # an unhashable value
         pass
     return tuple([_decode_number(x, where) for x in xs])
 

@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import add, mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import QuantLogicError
 
@@ -58,10 +58,8 @@ class OpCode(enum.Enum):
 # --------------------------------------------------------------------------
 
 def check_mul(x: float) -> MulReal:
-    """Validate a multiplicative-carrier value (nonnegative, not NaN).
-
-    The carrier has one zero: -0.0 reads as 0.0.
-    """
+    """Read a multiplicative-carrier value (nonnegative, not NaN) as check_add
+    reads it; the carrier has one zero, so -0.0 reads as 0.0."""
     x = check_add(x)
     if x < 0.0:
         raise QuantLogicError("INVALID_VALUE",
@@ -70,42 +68,58 @@ def check_mul(x: float) -> MulReal:
 
 
 def check_add(x: float) -> AddReal:
-    """Validate an additive-carrier value (any extended real, not NaN)."""
-    x = float(x)
-    if math.isnan(x):
+    """Read an additive-carrier value (an extended real, not NaN) as a float: the
+    one reader of callers' numbers.  An integer beyond the double range reads as
+    its infinity, as 1e400 does in JSON; text and non-numbers are INVALID_VALUE."""
+    if type(x) is not float:
+        try:
+            x = float(None if isinstance(x, (str, bytes, bytearray)) else x)  # see parse_value
+        except OverflowError:  # an integer beyond the double range
+            x = INF if x > 0 else -INF
+        except (TypeError, ValueError):
+            raise QuantLogicError("INVALID_VALUE", f"values are numbers, got {x!r}") from None
+    if x != x:
         raise QuantLogicError("INVALID_VALUE", "NaN is not a carrier value")
     return x
 
 
-def _clean_floats(xs: tuple) -> bool:
-    """Whether xs holds floats only, none of them NaN.  A sum is NaN where a
-    value is NaN, and also where both infinities are, so only then are the
-    values looked at one by one."""
-    if not set(map(type, xs)) <= {float}:
-        return False
+def _check_count(xs: Sequence, n: int, where: str) -> Sequence:
+    """xs, if it holds n values (one per point of a space); VALUE_COUNT otherwise."""
+    if len(xs) != n:
+        raise QuantLogicError("VALUE_COUNT", f"{where}: {len(xs)} values for {n} points")
+    return xs
+
+
+def _clean_floats(xs: tuple) -> tuple | None:
+    """xs as floats, if it holds floats and ints in the double range only, none
+    NaN; else None.  A sum is NaN where a value is NaN, and also where both
+    infinities are, so only then are the values looked at one by one."""
+    if not set(map(type, xs)) <= {float, int}:
+        return None
+    try:
+        xs = tuple(map(float, xs))
+    except OverflowError:  # an integer beyond the double range
+        return None
     total = sum(xs)
-    return total == total or not any(map(math.isnan, xs))
+    return xs if total == total or not any(map(math.isnan, xs)) else None
 
 
 def check_mul_table(xs: Iterable) -> tuple:
-    """check_mul on each value, as a tuple.
-
-    A table of floats that are not NaN and not below 0 is cleared in a few
-    passes; any other goes value by value, so that the first fault raises as
-    check_mul raises it.
-    """
+    """check_mul on each value, as a tuple.  A table of floats and ints, none
+    NaN or below 0, is cleared in a few passes; any other goes value by value,
+    so that the first fault raises as check_mul raises it."""
     xs = tuple(xs)
-    if _clean_floats(xs) and (not xs or min(xs) >= 0.0):
-        return tuple([x or 0.0 for x in xs]) if 0.0 in xs else xs
+    clean = _clean_floats(xs)
+    if clean is not None and (not clean or min(clean) >= 0.0):
+        return tuple([x or 0.0 for x in clean]) if 0.0 in clean else clean
     return tuple([check_mul(x) for x in xs])
 
 
 def check_add_table(xs: Iterable) -> tuple:
     """check_add on each value, as a tuple; cleared as check_mul_table is."""
     xs = tuple(xs)
-    if _clean_floats(xs):
-        return xs
-    return tuple([check_add(x) for x in xs])
+    clean = _clean_floats(xs)
+    return clean if clean is not None else tuple([check_add(x) for x in xs])
 
 
 # The one value-literal grammar, of parse_value, the formula tokenizer and the CLI.

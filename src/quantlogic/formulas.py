@@ -79,14 +79,14 @@ class Formula:
 class Const(Formula):
     """A named constant (str) or a numeric literal of the ambient carrier.
 
-    A literal is stored as a float, whatever number type it was given as.
+    A literal is stored as ``check_add`` reads it, whatever its number type.
     """
 
     value: float | str
 
     def __post_init__(self):
         if not isinstance(self.value, str):
-            object.__setattr__(self, "value", float(self.value))
+            object.__setattr__(self, "value", check_add(self.value))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -474,14 +474,13 @@ def check_wellformed(f: Formula, ctx: Context, env) -> Formula:
 
 def _check_walk(walked: list[tuple[Formula, Binders]], ctx: Context, env) -> None:
     """check_wellformed of the formula whose pre-order walk is ``walked``."""
-    check = carrier(env.mode).check
+    c = carrier(env.mode)
     outer = {v: s.name for v, s in ctx.entries}
     for node, bound in walked:
-        if isinstance(node, Const):
-            if not isinstance(node.value, str):
-                check(node.value)
+        if isinstance(node, Const):  # a name that is no constant is no number either
+            c.check(c.constants.get(node.value, node.value))
         elif isinstance(node, Scalar):
-            if not 0.0 <= node.factor < INF:  # NaN fails too
+            if not 0.0 <= check_add(node.factor) < INF:
                 raise QuantLogicError("INVALID_VALUE",
                                       f"scalar factors are in [0, inf), got {node.factor!r}")
         elif isinstance(node, Atom):

@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import QuantLogicError
 from .extreal import (ADD_CONSTANTS, ADD_TABLES, INF, MUL_CONSTANTS, MUL_TABLES, NAN,
-                      AddReal, MulReal, OpCode, add_div_table, add_dual_table,
+                      AddReal, MulReal, OpCode, _check_count, add_div_table, add_dual_table,
                       add_scalar_table, check_add, check_add_table, check_mul,
                       check_mul_table, exact_float, kahan_sum, mul_div_table,
                       mul_dual_table, mul_pow_table, napier_inv, napier_inv_table,
@@ -71,22 +71,26 @@ class SignedP:
     magnitude: float
 
     def __post_init__(self):
-        _check_magnitude(self.magnitude)
+        object.__setattr__(self, "magnitude", _check_magnitude(self.magnitude))
 
 
 def _check_magnitude(p: float) -> float:
-    """p, if it is a quantifier magnitude in [0, inf]; INVALID_P otherwise (NaN too)."""
-    if not p >= 0.0:
+    """p as ``check_add`` reads it, if a quantifier magnitude in [0, inf]; else INVALID_P."""
+    try:
+        q = check_add(p)
+    except QuantLogicError:
+        q = NAN
+    if not q >= 0.0:
         raise QuantLogicError("INVALID_P", f"magnitude must be in [0, inf], got {p!r}")
-    return p
+    return q
 
 
 def exists_p(p: float) -> SignedP:
-    return SignedP(Polarity.EXISTENTIAL, float(p))
+    return SignedP(Polarity.EXISTENTIAL, p)
 
 
 def forall_p(p: float) -> SignedP:
-    return SignedP(Polarity.UNIVERSAL, float(p))
+    return SignedP(Polarity.UNIVERSAL, p)
 
 
 @dataclass(frozen=True)
@@ -97,16 +101,12 @@ class ValueVector:
     values: tuple[MulReal, ...]
 
     def __post_init__(self):
-        if len(self.values) != len(self.space):
-            raise QuantLogicError(
-                "VALUE_COUNT",
-                f"{len(self.values)} values for {len(self.space)} points of "
-                f"space {self.space.name!r}")
-        object.__setattr__(self, "values", check_mul_table(self.values))
+        values = _check_count(self.values, len(self.space), f"space {self.space.name!r}")
+        object.__setattr__(self, "values", check_mul_table(values))
 
 
 def value_vector(space: Space, values: Iterable[float]) -> ValueVector:
-    return ValueVector(space, tuple(float(v) for v in values))
+    return ValueVector(space, tuple(values))
 
 
 # --------------------------------------------------------------------------
@@ -290,15 +290,13 @@ def add_quantifier(polarity: Polarity, p: float, weights, values) -> AddReal:
     the logical order is reversed); magnitude 0 gives the weighted arithmetic
     sum, with mixed-infinity conflicts resolved per polarity (cotensor for
     existential, tensor for universal).  p, the weights and the values are
-    checked as ``SignedP``, ``Space`` and ``check_add_table`` check them.
+    read as ``_check_magnitude``, ``make_space`` and ``check_add_table`` read them.
     """
-    sp = SignedP(polarity, float(p))
-    weights, values = list(weights), check_add_table(values)
-    if len(weights) != len(values):
-        raise QuantLogicError("VALUE_COUNT", f"{len(values)} values, {len(weights)} weights")
+    p, weights = _check_magnitude(p), list(weights)
+    values = _check_count(check_add_table(values), len(weights), "quantifier")
     if weights:  # none at all is an empty support, below
         weights = make_space(range(len(weights)), weights, "quantifier").weights
-    return _quantifier(ADD, sp.polarity, sp.magnitude, weights, "quantifier")(values)[0]
+    return _quantifier(ADD, polarity, p, weights, "quantifier")(values)[0]
 
 
 def escort_quantifier(c: Carrier, sp: SignedP, space: Space, masses: Sequence[MulReal],

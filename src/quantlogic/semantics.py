@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .environment import Environment
 from .errors import QuantLogicError
-from .extreal import INF, MulReal
+from .extreal import INF, NAN, MulReal, check_add
 from .formulas import (Atom, Binders, BinOp, Context, Div, Dual, Formula, Quant,
                        _check_walk, _fold, walk)
 from .pmeans import MUL, add_quantifier, carrier  # noqa: F401 (re-export)
@@ -91,19 +91,17 @@ def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str) -> Predicat
             here = sizes + tuple([len(env.spaces[s]) for s in bound.values()])
             if isinstance(node, Atom):
                 return _atom_table(node, names + tuple(bound), here, env)
-            value = node.value
-            value = c.constants[value] if isinstance(value, str) else c.check(value)
-            return [value] * math.prod(here)
+            return [c.check(c.constants.get(node.value, node.value))] * math.prod(here)
         if isinstance(node, BinOp):
             return c.ops[node.op](*kids)
-        if isinstance(node, Quant):
+        if isinstance(node, Quant):  # numbers read as _check_walk has read them
             space = env.spaces[node.space]
-            return c.quantifier(node.polarity, node.magnitude, space)(kids[0])
+            return c.quantifier(node.polarity, check_add(node.magnitude), space)(kids[0])
         if isinstance(node, Div):
             return c.div(*kids)
         if isinstance(node, Dual):
             return c.dual(kids[0])
-        return c.scalar(node.factor, kids[0])  # the node is a Scalar
+        return c.scalar(check_add(node.factor), kids[0])  # the node is a Scalar
 
     return Predicate(ctx, mode, tuple(_fold(walked, node_table)))
 
@@ -139,9 +137,14 @@ class Separator:
     threshold: float
 
     def __post_init__(self):
-        if not (self.threshold == 0.0 or self.threshold >= 1.0):
+        try:
+            t = check_add(self.threshold)
+        except QuantLogicError:
+            t = NAN
+        if not (t == 0.0 or t >= 1.0):
             raise QuantLogicError("INVALID_THRESHOLD",
                                   f"thresholds are 0 or at least 1, got {self.threshold!r}")
+        object.__setattr__(self, "threshold", t)
 
 
 def inconsistent_separator() -> Separator:
@@ -160,11 +163,13 @@ def definite_separator() -> Separator:
 
 def principal_separator(t: float) -> Separator:
     """[t, inf] for a threshold t >= 1."""
-    t = float(t)
-    if not t >= 1.0:
-        raise QuantLogicError("INVALID_THRESHOLD",
-                              f"principal separators need a threshold >= 1, got {t!r}")
-    return Separator(t)
+    try:
+        if (s := Separator(t)).threshold >= 1.0:
+            return s
+    except QuantLogicError:
+        pass
+    raise QuantLogicError("INVALID_THRESHOLD",
+                          f"principal separators need a threshold >= 1, got {t!r}")
 
 
 def separator_cast(s: Separator, v: MulReal) -> bool:

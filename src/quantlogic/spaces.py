@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import QuantLogicError
-from .extreal import kahan_sum
+from .extreal import check_add, kahan_sum
 
 # Slack for comparisons between floating-point weight sums.
 _WEIGHT_TOL = 1e-12
@@ -75,7 +75,9 @@ class Space:
 
 
 def make_space(points, weights, name: str = "S") -> Space:
-    return Space(name, tuple(str(p) for p in points), tuple(float(w) for w in weights))
+    # each weight is read by check_add, but a NaN is left for Space to report
+    return Space(name, tuple(str(p) for p in points),
+                 tuple([w if w != w else check_add(w) for w in weights]))
 
 
 def _point_labels(points) -> tuple[str, ...]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .environment import AtomTable, Environment
 from .errors import QuantLogicError
-from .extreal import (INF, AddReal, MulReal, check_add_table, check_mul_table,
+from .extreal import (INF, AddReal, MulReal, _check_count, check_add, check_mul,
                       mul_div_table, mul_dual, mul_dual_table, napier_table)
 from .formulas import Atom, Context, Div, Formula, Quant
 from .pmeans import (ADD, MUL, Polarity, SignedP, ValueVector, _check_magnitude,
@@ -40,24 +40,20 @@ class Distribution:
     masses: tuple[MulReal, ...]
 
     def __post_init__(self):
-        if len(self.masses) != len(self.space):
-            raise QuantLogicError("VALUE_COUNT",
-                                  f"{len(self.masses)} masses for "
-                                  f"{len(self.space)} points")
-        # a fault before the first mass above 1 is reported first
-        over = next((i for i, m in enumerate(self.masses) if m > 1.0), len(self.masses))
-        masses = check_mul_table(self.masses[:over])
-        if over < len(self.masses):
-            raise QuantLogicError("NOT_UNITARY", f"mass {self.masses[over]!r} exceeds 1")
-        object.__setattr__(self, "masses", masses)
-        total = kahan_sum(w * m for w, m in zip(self.space.weights, masses))
+        masses = []  # read one by one: a fault before the first mass above 1 is reported first
+        for m in map(check_mul, _check_count(self.masses, len(self.space), "masses")):
+            if m > 1.0:
+                raise QuantLogicError("NOT_UNITARY", f"mass {m!r} exceeds 1")
+            masses.append(m)
+        object.__setattr__(self, "masses", tuple(masses))
+        total = kahan_sum(w * m for w, m in zip(self.space.weights, self.masses))
         if abs(total - 1.0) > _UNITARY_TOL:
             raise QuantLogicError("NOT_UNITARY",
                                   f"masses integrate to {total!r}, not 1")
 
 
 def distribution(space: Space, masses) -> Distribution:
-    return Distribution(space, tuple(float(m) for m in masses))
+    return Distribution(space, tuple(masses))
 
 
 @dataclass(frozen=True)
@@ -68,21 +64,16 @@ class EnergyFunction:
     energies: tuple[AddReal, ...]
 
     def __post_init__(self):
-        if len(self.energies) != len(self.space):
-            raise QuantLogicError("VALUE_COUNT",
-                                  f"{len(self.energies)} energies for "
-                                  f"{len(self.space)} points")
-        # a fault before the first -inf is reported first
-        us = self.energies
-        cut = us.index(-INF) if -INF in us else len(us)
-        energies = check_add_table(us[:cut])
-        if cut < len(us):
-            raise QuantLogicError("INVALID_VALUE", "energies must be finite or +inf")
-        object.__setattr__(self, "energies", energies)
+        energies = []  # read one by one: a fault before the first -inf is reported first
+        for u in map(check_add, _check_count(self.energies, len(self.space), "energies")):
+            if u == -INF:
+                raise QuantLogicError("INVALID_VALUE", "energies must be finite or +inf")
+            energies.append(u)
+        object.__setattr__(self, "energies", tuple(energies))
 
 
 def energy_function(space: Space, energies) -> EnergyFunction:
-    return EnergyFunction(space, tuple(float(u) for u in energies))
+    return EnergyFunction(space, tuple(energies))
 
 
 def _universal(mode: str, space: Space, values, p: float, body: Formula,
@@ -97,8 +88,7 @@ def _universal(mode: str, space: Space, values, p: float, body: Formula,
 
 
 def _check_p(p: float, positive: bool) -> float:
-    p = _check_magnitude(float(p))
-    if positive and p == 0.0:
+    if (p := _check_magnitude(p)) == 0.0 and positive:
         raise QuantLogicError("INVALID_P", f"order must be in (0, inf], got {p!r}")
     return p
 
@@ -168,7 +158,7 @@ def shannon_entropy(phi: Distribution) -> float:
 
 def softmax_formula_path(f: ValueVector, p: float) -> tuple[MulReal, ...]:
     """The same values through the formula evaluator — a cross-check path."""
-    _check_p(p, positive=True)
+    p = _check_p(p, positive=True)
     return _universal("mul", f.space, f.values, p,
                       Div(Atom("a", ("x",)), Atom("a", ("xstar",))), ("xstar",))
 

@@ -39,7 +39,7 @@ from quantlogic import (
     product_space,
     value_vector,
 )
-from quantlogic.extreal import check_mul_table, kahan_sum
+from quantlogic.extreal import check_add, check_mul_table, kahan_sum
 from quantlogic.formulas import Formula, children, rebuild, walk
 from quantlogic.pmeans import ADD, Polarity, escort_quantifier
 
@@ -396,7 +396,7 @@ def ref_reindex_monotonicity_check(f, phi, psi, p=1.0):
     pulled_psi = tuple(psi[f(i)] for i in range(len(f.source)))
     rhs = ref_entails(f.source, pulled_phi, pulled_psi, p)
     return _ref_report("reindex-monotonicity", lhs, rhs,
-                       "holds" if lhs <= rhs + 1e-12 else "violated", {"p": p})
+                       "violated" if _ref_above(lhs, rhs) else "holds", {"p": p})
 
 
 def ref_pushforward_density(f, phi):
@@ -433,7 +433,10 @@ def ref_laxity_check(f, phi, psi):
 
 
 def _ref_check_p(p, positive):
-    p = float(p)
+    try:
+        p = check_add(p)  # the one reader of numbers: text and non-numbers are no order
+    except QuantLogicError:
+        p = math.nan
     if math.isnan(p) or p < 0.0 or (positive and p == 0.0):
         raise QuantLogicError("INVALID_P", f"bad order {p!r}")
     return p
