@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from operator import index
 
 from .errors import QuantLogicError
 from .extreal import (INF, MulReal, _check_count, check_mul_table, mul_div_table,
@@ -138,6 +139,14 @@ def _transitivity_report(space, phi, psi, sigma, p, source) -> EntailmentReport 
     return None
 
 
+def _read_integer(x, what: str) -> int:
+    """x as ``operator.index`` reads it; INVALID_VALUE if it is no integer."""
+    try:
+        return index(x)
+    except TypeError:
+        raise QuantLogicError("INVALID_VALUE", f"{what} must be an integer, got {x!r}") from None
+
+
 def transitivity_search(space: Space, p: float = 1.0, trials: int = 1000,
                         seed: int = 0) -> EntailmentReport:
     """Search random triples for a transitivity violation.
@@ -152,6 +161,9 @@ def transitivity_search(space: Space, p: float = 1.0, trials: int = 1000,
         raise QuantLogicError("INVALID_P",
                               "transitivity holds at p = 0 (geometric means multiply) and "
                               "at p = inf (minimum residuals compose); search at 0 < p < inf")
+    if (trials := _read_integer(trials, "trials")) < 0:
+        raise QuantLogicError("INVALID_VALUE", f"trials must be at least 0, got {trials}")
+    seed = _read_integer(seed, "seed")
     rng = random.Random(seed)
     lo, hi = math.log(1e-3), math.log(1e3)
 

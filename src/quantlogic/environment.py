@@ -53,6 +53,10 @@ def make_environment(mode: str, spaces: dict[str, Space],
                      atoms: dict[str, AtomTable]) -> Environment:
     """Validate and build an Environment; atom values are stored as floats."""
     check = carrier(mode).check_table
+    try:
+        spaces, atoms = dict(spaces), dict(atoms)
+    except (TypeError, ValueError):
+        raise QuantLogicError("ENV_FORMAT", "spaces and atoms are mappings by name") from None
     checked: dict[str, AtomTable] = {}
     for name, table in atoms.items():
         size = 1
@@ -64,7 +68,7 @@ def make_environment(mode: str, spaces: dict[str, Space],
             size *= len(spaces[space_name])
         checked[name] = AtomTable(table.context,
                                   check(_check_count(table.values, size, f"atom {name!r}")))
-    return Environment(mode, dict(spaces), checked)
+    return Environment(mode, spaces, checked)
 
 
 _TOKEN_VALUES = {token: value for value, token in INF_TOKENS.items()}

@@ -83,6 +83,15 @@ def check_add(x: float) -> AddReal:
     return x
 
 
+def _check_iterable(xs: Iterable, where: str) -> Iterable:
+    """xs, if it can be iterated over; INVALID_VALUE otherwise."""
+    try:
+        iter(xs)
+    except TypeError:
+        raise QuantLogicError("INVALID_VALUE", f"{where}: expected a sequence, got {xs!r}") from None
+    return xs
+
+
 def _check_count(xs: Sequence, n: int, where: str) -> Sequence:
     """xs, if it holds n values (one per point of a space); VALUE_COUNT otherwise."""
     if len(xs) != n:
@@ -346,14 +355,16 @@ def add_div(a: AddReal, b: AddReal) -> AddReal:
     return add_cotensor(add_dual(a), b)
 
 
-def _check_factor(k: float) -> None:
-    if math.isnan(k) or math.isinf(k):
+def _check_factor(k: float) -> float:
+    """k as ``check_add`` reads it, if finite; INVALID_VALUE otherwise."""
+    if abs(k := check_add(k)) == INF:
         raise QuantLogicError("INVALID_VALUE", f"scalar must be finite, got {k!r}")
+    return k
 
 
 def add_scalar(k: float, a: AddReal) -> AddReal:
     """Scalar action k * a with 0 * (+-inf) := 0; k may be any finite real."""
-    _check_factor(k)
+    k = _check_factor(k)
     if k == 0.0:
         return 0.0
     return k * a
@@ -505,7 +516,7 @@ def add_div_table(xs: list, ys: list) -> list:
 
 def add_scalar_table(k: float, xs: list) -> list:
     """add_scalar(k, .) on each cell, k checked once."""
-    _check_factor(k)
+    k = _check_factor(k)
     if k == 0.0:
         return [0.0] * len(xs)
     return [k * a for a in xs]

@@ -24,15 +24,17 @@ its values are represented (``Carrier``).  The universal polarity takes the
 exponent -p as it stands, on the direct route and in the log domain
 (``exp(-L)`` with L the log-domain mean of ``-log a``), and no route takes a
 reciprocal, so the extremum is exact and values at either end of the double
-range keep their place.  A quantifier node builds its kernel once
-(``Carrier.quantifier``), then maps the body table to the quantified table
-chunk by chunk.  Each chunk is absorbed, or takes the extremum, the
-geometric mean, the direct sum of powers or the log domain; the direct route
-is taken where every power and term it computes is a normal double and
-their sum is finite, and the log domain everywhere else.  The corners are
-found by the arithmetic: at finite p > 0 a chunk first takes its carrier's
-route as it stands, a route that cannot succeed on a chunk a corner decides,
-and only a chunk where it fails is scanned for the corners (``_kernel``).
+range keep their place.  A space keeps the kernel of each (carrier, polarity,
+p) that was asked of it, built the first time (``Carrier.quantifier``), and
+one support record that all its kernels share; a kernel maps a body table to
+the quantified table chunk by chunk.  Each chunk is absorbed, or takes the
+extremum, the geometric mean, the direct sum of powers or the log domain; the
+direct route is taken where every power and term it computes is a normal
+double and their sum is finite, and the log domain everywhere else.  The
+corners are found by the arithmetic: at finite p > 0 a chunk first takes its
+carrier's route as it stands, a route that cannot succeed on a chunk a corner
+decides, and only a chunk where it fails is scanned for the corners
+(``_kernel``, ``_aggregate``).
 ``p_mean``, ``p_sum``, ``add_quantifier`` and ``escort_quantifier`` run one
 chunk through the same kernel.
 """
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -51,8 +54,9 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import QuantLogicError
 from .extreal import (ADD_CONSTANTS, ADD_TABLES, INF, MUL_CONSTANTS, MUL_TABLES, NAN,
-                      AddReal, MulReal, OpCode, _check_count, add_div_table, add_dual_table,
-                      add_scalar_table, check_add, check_add_table, check_mul,
+                      AddReal, MulReal, OpCode, _check_count, _check_iterable,
+                      add_div_table, add_dual_table, add_scalar_table, check_add,
+                      check_add_table, check_mul,
                       check_mul_table, exact_float, kahan_sum, mul_div_table,
                       mul_dual_table, mul_pow_table, napier_inv, napier_inv_table,
                       napier_table)
@@ -106,7 +110,7 @@ class ValueVector:
 
 
 def value_vector(space: Space, values: Iterable[float]) -> ValueVector:
-    return ValueVector(space, tuple(values))
+    return ValueVector(space, tuple(_check_iterable(values, f"values over {space.name!r}")))
 
 
 # --------------------------------------------------------------------------
@@ -156,6 +160,10 @@ def _kernel(c: Carrier, polarity: Polarity, p: float, ws: Sequence[float],
             log_ws: Sequence[float]) -> Callable:
     """The aggregate in carrier c of a chunk over weights ws > 0, logs log_ws.
 
+    ws and log_ws are shared with the other kernels over the same weights and
+    are never changed: a kernel keeps only log_ws scaled by 1/max(p, 1), and
+    at p <= 1 not even that copy.
+
     A chunk is absorbed, or takes the extremum (p = inf) or the geometric mean
     (p = 0).  At any other p a MUL chunk takes the direct route,
     ``(sum_i w_i a_i**e) ** (1/e)`` with e = +-p, when every power a_i**e and
@@ -183,80 +191,95 @@ def _kernel(c: Carrier, polarity: Polarity, p: float, ws: Sequence[float],
     if p == INF:
         return min if lower else max
     k = max(p, 1.0)
-    lws = [lw / k for lw in log_ws]
-    logs, exp, powers = c.logs, c.exp, c.powers
-    e = -p if lower else p
+    lws = log_ws if k == 1.0 else [lw / k for lw in log_ws]
+    # A space keeps its kernels (Carrier.quantifier), so a kernel is a tuple of
+    # its parameters for _aggregate: less than half the memory of closures.
+    return partial(_aggregate, (p, -p if lower else p, lower, absorb, drop, ws, lws,
+                                c.powers, c.logs, c.exp))
 
-    def direct(w, lw, xs):
-        """The direct route; NaN where it does not apply."""
-        try:
-            pws = list(map(pow, xs, repeat(e)))
-            terms = list(map(mul, w, pws))
-            if min(pws) >= float_info.min and min(terms) >= float_info.min:
-                s = kahan_sum(terms)
-                if s < INF:
-                    return s ** (1.0 / e)
-        except (OverflowError, ZeroDivisionError):  # beyond the double range, or 0**-p
-            pass
-        return NAN
 
-    def log_domain(w, lw, xs):
-        if lower:  # 0.0 - L, so that a zero comes out +0.0, never -0.0
-            return exp(0.0 - _log_mean(p, lw, logs(xs), -1.0))
-        return exp(_log_mean(p, lw, logs(xs)))
+def _direct(e: float, ws: Sequence[float], xs: Sequence[float]) -> float:
+    """The direct route, ``(sum_i w_i a_i**e) ** (1/e)``; NaN where it does not apply."""
+    try:
+        pws = list(map(pow, xs, repeat(e)))
+        terms = list(map(mul, ws, pws))
+        if min(pws) >= float_info.min and min(terms) >= float_info.min:
+            s = kahan_sum(terms)
+            if s < INF:
+                return s ** (1.0 / e)
+    except (OverflowError, ZeroDivisionError):  # beyond the double range, or 0**-p
+        pass
+    return NAN
 
-    fast = direct if powers else log_domain
 
-    def kernel(xs):
-        if p > 0.0:
-            got = fast(ws, lws, xs)
+def _log_domain(p: float, lower: bool, lws: Sequence[float], ls: Iterable[float],
+                exp: Callable) -> float:
+    """The log-domain route over the log coordinates ls; NaN where a corner
+    decides the chunk."""
+    if lower:  # 0.0 - L, so that a zero comes out +0.0, never -0.0
+        return exp(0.0 - _log_mean(p, lws, ls, -1.0))
+    return exp(_log_mean(p, lws, ls))
+
+
+def _aggregate(kernel: tuple, xs: Sequence[float]) -> float:
+    """The aggregate of one chunk by a kernel that ``_kernel`` built."""
+    p, e, lower, absorb, drop, ws, lws, powers, logs, exp = kernel
+    if p > 0.0:
+        got = _direct(e, ws, xs) if powers else _log_domain(p, lower, lws, logs(xs), exp)
+        if got == got:
+            return got
+    if absorb in xs:
+        return absorb
+    w, lw = ws, lws
+    if drop in xs:  # it drops out of a p-mean, but wins the geometric mean
+        if p == 0.0:
+            return drop
+        keep = [i for i, a in enumerate(xs) if a != drop]
+        if not keep:
+            return drop
+        xs, w, lw = ([s[i] for i in keep] for s in (xs, ws, lws))
+        if powers:
+            got = _direct(e, w, xs)
             if got == got:
                 return got
-        if absorb in xs:
-            return absorb
-        w, lw = ws, lws
-        if drop in xs:  # it drops out of a p-mean, but wins the geometric mean
-            if p == 0.0:
-                return drop
-            keep = [i for i, a in enumerate(xs) if a != drop]
-            if not keep:
-                return drop
-            xs, w, lw = ([s[i] for i in keep] for s in (xs, ws, lws))
-            if powers:
-                got = direct(w, lw, xs)
-                if got == got:
-                    return got
-        if p == 0.0:
-            return exp(_weighted_sum(w, logs(xs)))
-        return log_domain(w, lw, xs)
-
-    return kernel
+    if p == 0.0:
+        return exp(_weighted_sum(w, logs(xs)))
+    return _log_domain(p, lower, lw, logs(xs), exp)
 
 
-def _quantifier(c: Carrier, polarity: Polarity, p: float, weights: Sequence[float],
-                where: str, log_weights: Sequence[float] | None = None) -> Callable:
-    """A function from a body table (len(weights) values per chunk) to its
-    quantified table (one aggregate per chunk) in carrier c.
+def _support(weights: Sequence[float], where: str,
+             log_weights: Sequence[float] | None = None) -> tuple:
+    """(n, support, its weights, their logs) of n weights: what every kernel
+    over them shares.
 
-    Points of weight 0 never contribute, so their cells are dropped first.
+    Points of weight 0 never contribute, so they are left out of the support.
     ``log_weights`` (default: log w, -inf off the support) may be exact where
     a weight w underflowed: such a point stays in the support.
     """
     if log_weights is None:
         log_weights = [math.log(w) if w > 0.0 else -INF for w in weights]
     support = [i for i, lw in enumerate(log_weights) if lw > -INF]
-    lws = [log_weights[i] for i in support]
     if not support:
         raise QuantLogicError("EMPTY_SUPPORT", f"{where} has empty support")
-    aggregate = _kernel(c, polarity, p, [weights[i] for i in support], lws)
-    n, m = len(weights), len(support)
+    return (len(weights), support, [weights[i] for i in support],
+            [log_weights[i] for i in support])
 
-    def table(body: Sequence[float]) -> list[float]:
-        if m < n:
-            body = [body[j + i] for j in range(0, len(body), n) for i in support]
-        return [aggregate(body[j:j + m]) for j in range(0, len(body), m)]
 
-    return table
+def _quantifier(c: Carrier, polarity: Polarity, p: float, record: tuple) -> Callable:
+    """A function from a body table (n values per chunk) to its quantified
+    table (one aggregate per chunk) in carrier c, over the ``_support``
+    record of n weights: cells off the support are dropped first."""
+    n, support, ws, lws = record
+    return partial(_chunks, _kernel(c, polarity, p, ws, lws), n, support)
+
+
+def _chunks(aggregate: Callable, n: int, support: Sequence[int],
+            body: Sequence[float]) -> list[float]:
+    """The aggregate of each chunk of n values of body, over the support."""
+    m = len(support)
+    if m < n:
+        body = [body[j + i] for j in range(0, len(body), n) for i in support]
+    return [aggregate(body[j:j + m]) for j in range(0, len(body), m)]
 
 
 # --------------------------------------------------------------------------
@@ -270,7 +293,8 @@ def p_sum(sp: SignedP, values: Sequence[float]) -> MulReal:
         raise QuantLogicError("EMPTY_LIST", "p_sum of an empty list")
     if sp.magnitude == 0.0:
         raise QuantLogicError("P_ZERO_SUM", "p-sums require magnitude > 0")
-    return _quantifier(MUL, sp.polarity, sp.magnitude, [1.0] * len(vals), "p_sum")(vals)[0]
+    return _quantifier(MUL, sp.polarity, sp.magnitude,
+                       _support([1.0] * len(vals), "p_sum"))(vals)[0]
 
 
 def p_mean(sp: SignedP, vv: ValueVector) -> MulReal:
@@ -296,7 +320,7 @@ def add_quantifier(polarity: Polarity, p: float, weights, values) -> AddReal:
     values = _check_count(check_add_table(values), len(weights), "quantifier")
     if weights:  # none at all is an empty support, below
         weights = make_space(range(len(weights)), weights, "quantifier").weights
-    return _quantifier(ADD, polarity, p, weights, "quantifier")(values)[0]
+    return _quantifier(ADD, polarity, p, _support(weights, "quantifier"))(values)[0]
 
 
 def escort_quantifier(c: Carrier, sp: SignedP, space: Space, masses: Sequence[MulReal],
@@ -308,12 +332,20 @@ def escort_quantifier(c: Carrier, sp: SignedP, space: Space, masses: Sequence[Mu
     ws = list(map(mul, space.weights, masses))
     lws = [math.log(w) + math.log(m) if w > 0.0 < m else -INF
            for w, m in zip(space.weights, masses)]
-    return _quantifier(c, sp.polarity, sp.magnitude, ws, f"space {space.name!r}", lws)(values)[0]
+    record = _support(ws, f"space {space.name!r}", lws)
+    return _quantifier(c, sp.polarity, sp.magnitude, record)(values)[0]
 
 
 # --------------------------------------------------------------------------
 # the two carriers
 # --------------------------------------------------------------------------
+
+# The most quantifier kernels one space keeps (``Carrier.quantifier``), and
+# the lock under which a kept kernel is added or dropped: spaces may be shared
+# between threads, and dropping the oldest iterates over the kept ones.
+_KERNELS_PER_SPACE = 64
+_KEEPING = threading.Lock()
+
 
 @dataclass(frozen=True)
 class Carrier:
@@ -346,8 +378,27 @@ class Carrier:
 
     def quantifier(self, polarity: Polarity, p: float, space: Space) -> Callable:
         """A function from a body table over space (one chunk per row) to the
-        quantified table, its kernel built once."""
-        return _quantifier(self, polarity, p, space.weights, f"space {space.name!r}")
+        quantified table.
+
+        It is built once per (carrier, polarity, p) on a space and kept there,
+        with the space's one ``_support`` record, outside the space's fields
+        (``Space.__getstate__``); past ``_KERNELS_PER_SPACE`` kernels the
+        oldest is dropped.
+        """
+        try:
+            record, kernels = space._kernels
+        except AttributeError:
+            record, kernels = _support(space.weights, f"space {space.name!r}"), {}
+            object.__setattr__(space, "_kernels", (record, kernels))
+        key = (self.mode, polarity, p)
+        table = kernels.get(key)
+        if table is None:
+            table = _quantifier(self, polarity, p, record)
+            with _KEEPING:
+                if len(kernels) >= _KERNELS_PER_SPACE:
+                    del kernels[next(iter(kernels))]
+                kernels[key] = table
+        return table
 
 
 MUL = Carrier("mul", "add", MUL_CONSTANTS, MUL_TABLES, mul_div_table, mul_dual_table,

@@ -1,18 +1,21 @@
 """Evaluation of formulas to predicates, and separators (truth casts).
 
 A formula in context denotes a table of carrier values, one per tuple of
-points (row-major, last variable fastest).  One evaluator serves both
-carriers, reading each node's meaning from the carrier's record; the additive
-record has its own operations, and the shared quantifier kernel reads
-additive values as they are rather than round-tripping through the
-multiplicative side, which is what makes the napier-coherence property an
-actual check instead of a tautology.
+points (row-major, last variable fastest).  Inside the evaluator each node's
+table spans only the node's free variables, and it is widened to more of them
+by reindexing along the projection: a strided gather (``_gather``), the same
+one that reads an atom's table through its arguments.  The root's table is
+widened to the whole context.  One evaluator serves both carriers, reading
+each node's meaning from the carrier's record; the additive record has its
+own operations, and the shared quantifier kernel reads additive values as
+they are rather than round-tripping through the multiplicative side, which is
+what makes the napier-coherence property an actual check instead of a
+tautology.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .environment import Environment
@@ -45,27 +48,21 @@ class Predicate:
 # evaluation
 # --------------------------------------------------------------------------
 
-def _atom_table(f: Atom, names: tuple, sizes: tuple, env: Environment) -> list[float]:
-    """f's values over the variables names (of the given sizes), row-major.
+def _gather(values, strides, sizes) -> list[float]:
+    """The table over variables of the given sizes (row-major) whose cell at
+    indices (i_1, ..., i_k) is values[strides_1 * i_1 + ... + strides_k * i_k].
 
-    A variable steps through the atom's table by the sum of the strides of the
-    argument positions that name it (r(x, x) walks the diagonal), so the table
-    is one slice of the atom's values per row of the outer variables.
+    Reading an atom's table through its arguments is such a gather (r(x, x)
+    steps by the sum of both argument strides: the diagonal), and so is
+    widening a table by variables it does not name (stride 0).  It takes one
+    slice of values per row of the outer variables.
     """
-    table = env.atoms[f.name]
-    stride = dict.fromkeys(names, 0)
-    step = 1
-    for arg, space in zip(reversed(f.args), reversed(table.context)):
-        stride[arg] += step
-        step *= len(env.spaces[space])
-    values = table.values
-    if not names:
+    if not sizes:
         return [values[0]]
-    *outer, last = [(stride[v], n) for v, n in zip(names, sizes)]
+    *outer, (s, n) = zip(strides, sizes)
     starts = [0]
-    for s, n in outer:
-        starts = [i + s * k for i in starts for k in range(n)]
-    s, n = last
+    for t, m in outer:
+        starts = [i + t * k for i in starts for k in range(m)]
     out: list[float] = []
     if s:
         for i in starts:
@@ -76,8 +73,34 @@ def _atom_table(f: Atom, names: tuple, sizes: tuple, env: Environment) -> list[f
     return out
 
 
+def _widen(value: tuple, names: tuple, sizes: tuple):
+    """The table of a value (its variables, their sizes, its table) over the
+    variables names, of the given sizes, which include the value's own.
+
+    The value's variables may come in any order and repeat, as an atom's
+    arguments do: a variable steps by the sum of its positions' strides.
+    """
+    own, own_sizes, table = value
+    if own == names:
+        return table
+    stride, step = {}, 1
+    for v, n in zip(reversed(own), reversed(own_sizes)):
+        stride[v] = stride.get(v, 0) + step
+        step *= n
+    return _gather(table, [stride.get(v, 0) for v in names], sizes)
+
+
 def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str) -> Predicate:
-    """The table of f over ctx in one carrier, each node's built from its children's."""
+    """The table of f over ctx in one carrier, each node's built from its children's.
+
+    A node's value is (its free variables, their sizes, its table), the
+    variables ordered as the context and then the binders, outermost first.
+    An atom spans the variables it names, and a constant is one cell.  A
+    binary node spans the union of its children's variables, widening a child
+    only where the two differ.  A quantifier's variable is innermost in its
+    body, so the body's table is one chunk per row; a body that omits the
+    variable is widened by it first.
+    """
     if env.mode != mode:
         raise QuantLogicError("CARRIER_MISMATCH",
                               f"eval_{mode} needs an environment in {mode!r} mode")
@@ -86,24 +109,41 @@ def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str) -> Predicat
     c = carrier(mode)
     names, sizes = ctx.names(), ctx.sizes()
 
-    def node_table(node: Formula, bound: Binders, kids: list) -> list[float]:
-        if not kids:  # a leaf: Atom or Const
-            here = sizes + tuple([len(env.spaces[s]) for s in bound.values()])
-            if isinstance(node, Atom):
-                return _atom_table(node, names + tuple(bound), here, env)
-            return [c.check(c.constants.get(node.value, node.value))] * math.prod(here)
-        if isinstance(node, BinOp):
-            return c.ops[node.op](*kids)
+    def span(bound: Binders, size: dict) -> tuple[tuple, tuple]:
+        """The variables of size, in order, and their sizes."""
+        own = tuple([v for v in names + tuple(bound) if v in size])
+        return own, tuple([size[v] for v in own])
+
+    def node_value(node: Formula, bound: Binders, kids: list) -> tuple:
+        if not kids:
+            if not isinstance(node, Atom):  # a Const
+                return (), (), [c.check(c.constants.get(node.value, node.value))]
+            table, args = env.atoms[node.name], node.args
+            arg_sizes = tuple([len(env.spaces[s]) for s in table.context])
+            if len(args) < 2:  # one variable or none: the table as it is
+                return args, arg_sizes, table.values
+            own, own_sizes = span(bound, dict(zip(args, arg_sizes)))
+            return own, own_sizes, _widen((args, arg_sizes, table.values), own, own_sizes)
+        if len(kids) == 2:  # a BinOp or a Div
+            (a, a_sizes, x), (b, b_sizes, y) = kids
+            if a != b:
+                a, a_sizes = span(bound, {**dict(zip(a, a_sizes)), **dict(zip(b, b_sizes))})
+                x, y = _widen(kids[0], a, a_sizes), _widen(kids[1], a, a_sizes)
+            return a, a_sizes, c.ops[node.op](x, y) if isinstance(node, BinOp) else c.div(x, y)
+        own, own_sizes, table = kids[0]
         if isinstance(node, Quant):  # numbers read as _check_walk has read them
             space = env.spaces[node.space]
-            return c.quantifier(node.polarity, check_add(node.magnitude), space)(kids[0])
-        if isinstance(node, Div):
-            return c.div(*kids)
+            if own and own[-1] == node.var:
+                own, own_sizes = own[:-1], own_sizes[:-1]
+            else:
+                table = _widen(kids[0], own + (node.var,), own_sizes + (len(space),))
+            quantify = c.quantifier(node.polarity, check_add(node.magnitude), space)
+            return own, own_sizes, quantify(table)
         if isinstance(node, Dual):
-            return c.dual(kids[0])
-        return c.scalar(check_add(node.factor), kids[0])  # the node is a Scalar
+            return own, own_sizes, c.dual(table)
+        return own, own_sizes, c.scalar(check_add(node.factor), table)  # a Scalar
 
-    return Predicate(ctx, mode, tuple(_fold(walked, node_table)))
+    return Predicate(ctx, mode, tuple(_widen(_fold(walked, node_value), names, sizes)))
 
 
 def eval_mul(f: Formula, ctx: Context, env: Environment) -> Predicate:

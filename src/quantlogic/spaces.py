@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 
 from .errors import QuantLogicError
-from .extreal import check_add, kahan_sum
+from .extreal import _check_iterable, check_add, kahan_sum
 
 # Slack for comparisons between floating-point weight sums.
 _WEIGHT_TOL = 1e-12
@@ -46,6 +47,11 @@ class Space:
     def __len__(self) -> int:
         return len(self.points)
 
+    def __getstate__(self) -> dict:
+        # the fields only: the quantifier kernels kept on a space (see
+        # pmeans.Carrier.quantifier) hold functions, and are rebuilt where needed
+        return {k: v for k, v in self.__dict__.items() if k != "_kernels"}
+
     @property
     def total_mass(self) -> float:
         return kahan_sum(self.weights)
@@ -76,6 +82,8 @@ class Space:
 
 def make_space(points, weights, name: str = "S") -> Space:
     # each weight is read by check_add, but a NaN is left for Space to report
+    points = _check_iterable(points, f"points of {name!r}")
+    weights = _check_iterable(weights, f"weights of {name!r}")
     return Space(name, tuple(str(p) for p in points),
                  tuple([w if w != w else check_add(w) for w in weights]))
 
@@ -84,7 +92,7 @@ def _point_labels(points) -> tuple[str, ...]:
     # an int n is shorthand for points labeled "0" .. "n-1"
     if isinstance(points, int):
         return tuple(str(i) for i in range(points))
-    return tuple(str(p) for p in points)
+    return tuple(str(p) for p in _check_iterable(points, "points"))
 
 
 def counting_space(points, name: str = "S") -> Space:
@@ -118,7 +126,8 @@ def normalize(a: Space) -> Space:
 class PointMap:
     """A map of spaces: one target point per source point.
 
-    ``assignment`` holds target indices, aligned with ``source.points``.
+    ``assignment`` holds target indices, aligned with ``source.points``,
+    each read by ``operator.index`` (anything else is MAP_RANGE).
     """
 
     source: Space
@@ -126,12 +135,20 @@ class PointMap:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.assignment) != len(self.source):
+        assignment = tuple(_check_iterable(self.assignment, "assignment"))
+        if len(assignment) != len(self.source):
             raise QuantLogicError("MAP_ARITY",
                                   "assignment length differs from source size")
-        for j in self.assignment:
-            if not (0 <= j < len(self.target)):
-                raise QuantLogicError("MAP_RANGE", f"target index {j} out of range")
+        indices = []
+        for j in assignment:
+            try:
+                i = index(j)
+            except TypeError:
+                i = -1
+            if not 0 <= i < len(self.target):
+                raise QuantLogicError("MAP_RANGE", f"target index {j!r} out of range")
+            indices.append(i)
+        object.__setattr__(self, "assignment", tuple(indices))
 
     def __call__(self, i: int) -> int:
         return self.assignment[i]

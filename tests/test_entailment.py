@@ -177,6 +177,31 @@ def test_transitivity_search_where_the_law_is_a_theorem(p):
     assert err.value.code == "INVALID_P"
 
 
+@pytest.mark.parametrize("trials, seed", [(2.5, 0), ("3", 0), (None, 0), (-1, 0),
+                                         (2, [1]), (2, 1.5), (2, "0"), (2, None)], ids=repr)
+def test_transitivity_search_reads_its_trials_and_seed(trials, seed):
+    # trials a nonnegative integer, the seed an integer
+    with pytest.raises(QuantLogicError) as err:
+        transitivity_search(uniform_space(2), 1.0, trials, seed)
+    assert err.value.code == "INVALID_VALUE"
+
+
+class IntLike:
+    """An integer type other than int: it has __index__ only."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+
+def test_transitivity_search_takes_integer_types():
+    space = uniform_space(2)
+    want = transitivity_search(space, 1.0, 40, 4)
+    assert transitivity_search(space, 1.0, IntLike(40), IntLike(4)) == want
+
+
 def test_transitivity_search_finds_a_violation_at_p_7():
     # p = 1: test_transitivity_search_finds_a_violation
     report = transitivity_search(uniform_space(3), p=7.0, trials=200, seed=0)

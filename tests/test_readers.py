@@ -27,6 +27,7 @@ from quantlogic import (
     check_add,
     check_mul,
     check_wellformed,
+    counting_space,
     distribution,
     energy_function,
     entails,
@@ -55,6 +56,7 @@ from quantlogic import (
     uniform_space,
     value_vector,
 )
+from quantlogic.extreal import add_scalar, add_scalar_table
 
 HUGE = 10 ** 400
 JUNK = st.sampled_from(["x", "inf", None, [1], b"1", HUGE, -HUGE, math.nan]) | st.floats()
@@ -171,6 +173,28 @@ def test_each_input_kind_keeps_its_code(make, code, x):
 def test_weights_are_read_then_checked_as_weights(x, code):
     with pytest.raises(QuantLogicError) as err:
         make_space(["a", "b"], [1, x])
+    assert err.value.code == code
+
+
+@pytest.mark.parametrize("make, code", [
+    (lambda: make_space(["a"], None), "INVALID_VALUE"),
+    (lambda: make_space(None, [1.0]), "INVALID_VALUE"),
+    (lambda: make_space(["a"], 1.0), "INVALID_VALUE"),
+    (lambda: value_vector(S, None), "INVALID_VALUE"),
+    (lambda: counting_space(None), "INVALID_VALUE"),
+    (lambda: uniform_space(2.5), "INVALID_VALUE"),
+    (lambda: PointMap(S, S, None), "INVALID_VALUE"),
+    (lambda: value_vector(S, 2.0), "INVALID_VALUE"),
+    (lambda: make_environment("mul", None, {}), "ENV_FORMAT"),
+    (lambda: make_environment("mul", {}, None), "ENV_FORMAT"),
+    (lambda: make_environment("mul", [1], {}), "ENV_FORMAT"),
+    (lambda: add_scalar("x", 1.0), "INVALID_VALUE"),
+    (lambda: add_scalar(None, 1.0), "INVALID_VALUE"),
+    (lambda: add_scalar_table("x", [1.0]), "INVALID_VALUE"),
+])
+def test_containers_and_factors_that_cannot_be_read(make, code):
+    with pytest.raises(QuantLogicError) as err:
+        make()
     assert err.value.code == code
 
 

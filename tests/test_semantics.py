@@ -35,7 +35,6 @@ from quantlogic import (
     translate_formula,
     unitary_separator,
 )
-from quantlogic.semantics import _atom_table
 from helpers import assert_close, coherence_environment, random_formula
 
 
@@ -131,7 +130,10 @@ def test_environment_stores_floats():
 
 @given(gather_cases())
 def test_atom_gather_matches_the_product_walk(case):
-    assert _atom_table(*case) == reference_atom_table(*case)
+    # the atom's own table (its distinct arguments), widened to the context
+    atom, names, _, env = case
+    ctx = Context(tuple((v, env.spaces[v]) for v in names))
+    assert list(evaluate(atom, ctx, env).table) == reference_atom_table(*case)
 
 
 def test_atom_gather_repeated_and_swapped_arguments():

@@ -186,6 +186,20 @@ def test_point_map_validation():
     assert f.fiber(0) == (0, 1)
 
 
+@pytest.mark.parametrize("j", [0.5, "x", "0", None, 1.0, -1], ids=repr)
+def test_point_map_indices_are_integers_in_range(j):
+    a = make_space(["x", "y"], [1, 1], name="A")
+    with pytest.raises(QuantLogicError) as err:
+        PointMap(a, a, (j, 1))
+    assert err.value.code == "MAP_RANGE"
+
+
+def test_point_map_stores_its_indices_as_read():
+    a = make_space(["x", "y"], [1, 1], name="A")
+    f = PointMap(a, a, [True, 0])
+    assert f.assignment == (1, 0) and all(type(j) is int for j in f.assignment)
+
+
 def test_counting_and_uniform_shorthand():
     assert counting_space(3).weights == (1.0, 1.0, 1.0)
     assert uniform_space(4).points == ("0", "1", "2", "3")

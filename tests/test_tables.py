@@ -1,10 +1,15 @@
 """The table-at-a-time carrier operations: bit for bit the scalar operations
 mapped over the cells, also at the corners, and redoing only corner cells."""
 
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 import sys
+import threading
+import types
 
 import pytest
 
@@ -13,15 +18,15 @@ from quantlogic import (INF, Context, PointMap, QuantLogicError, ValueVector,
                         environment_from_dict, evaluate, extreal, laxity_check, make_space,
                         normalize, parse, pmeans, pushforward_density, reflexivity_check,
                         reindex_monotonicity_check, renyi_entropy, renyi_formula_path,
-                        softmax_p, stats, translate_environment, translate_formula,
-                        transitivity_search, uniform_space)
+                        semantics, softmax_p, stats, translate_environment,
+                        translate_formula, transitivity_search, uniform_space)
 from quantlogic.extreal import (ADD_OPS, ADD_TABLES, MUL_OPS, MUL_TABLES, OpCode,
                                 add_div, add_div_table, add_dual, add_dual_table,
                                 add_scalar, add_scalar_table, check_add, check_mul,
                                 mul_div, mul_div_table, mul_dual, mul_dual_table,
                                 mul_pow, mul_pow_table, napier, napier_inv,
                                 napier_inv_table, napier_table)
-from quantlogic.formulas import Atom, BinOp, Const, Div, Dual, Quant, Scalar
+from quantlogic.formulas import Atom, BinOp, Const, Div, Dual, Quant, Scalar, walk
 from quantlogic.pmeans import ADD, MUL
 from helpers import coherence_environment, random_formula, ref_add_quantifier, ref_p_mean
 
@@ -177,16 +182,119 @@ def test_evaluator_matches_the_cell_by_cell_reference(make_env):
             assert hexes(got) == hexes(ref_table(g, ctx, e, mode)), (mode, g)
 
 
-def test_evaluator_matches_the_reference_over_free_variables():
-    env = corner_environment(random.Random(5))
-    ctx = Context((("x", env.spaces["I"]), ("z", env.spaces["K"])))
-    for text in ("(rho(x, z) (x) phi(x)) -o rho(x, z)^*",
-                 "E^2 (y in I). rho(y, z) (+*) (0.5 . (phi(x) (+) psi(y)))",
-                 "A^0 (k in K). rho(x, k) (x*) (phi(x) \\/ psi(x))"):
+def factor_environment(rng):
+    """coherence_environment's signature with K weighted unevenly, mu over K
+    and r over I x I, and 0, 1 and inf among the atom values."""
+    def values(n):
+        return [rng.choice((0.0, 1.0, INF)) if rng.random() < 0.2
+                else math.exp(rng.uniform(-0.5, 0.5)) for _ in range(n)]
+
+    return environment_from_dict({
+        "mode": "mul",
+        "spaces": {"I": {"points": ["i0", "i1", "i2"], "weights": [0.5, 0.25, 0.25]},
+                   "K": {"points": ["k0", "k1"], "weights": [1.0, 2.0]}},
+        "atoms": {"phi": {"context": ["I"], "values": values(3)},
+                  "psi": {"context": ["I"], "values": values(3)},
+                  "mu": {"context": ["K"], "values": values(2)},
+                  "rho": {"context": ["I", "K"], "values": values(6)},
+                  "r": {"context": ["I", "I"], "values": values(9)}},
+    })
+
+
+# Each over the context x in I, z in K, or closed.
+FACTOR_CASES = (
+    # a quantifier whose body omits its variable
+    "E^2 (v in I). phi(x)",
+    "A^0 (v in K). E^1 (w in I). rho(w, z)",
+    "E^inf (v in I). A^3 (w in K). true",
+    "A^1 (v in K). (E^0.5 (w in I). r(w, x)) (x) mu(z)",
+    # sibling quantifiers binding one name over different spaces
+    "(E^1 (v in I). phi(v)) (x) (E^1 (v in K). mu(v))",
+    "(A^2 (v in K). rho(x, v)) (+) (E^inf (v in I). r(v, x) (+*) phi(v))",
+    # an atom naming one variable twice
+    "r(x, x)",
+    "E^2 (y in I). r(y, y) -o r(x, y)",
+    "A^0.5 (y in I). r(y, y) \\/ r(y, x)",
+    # constants and closed subformulas under binders
+    "E^2 (y in I). (0.5 (x) (A^1 (k in K). mu(k))) \\/ phi(y)",
+    "A^1 (y in I). E^0 (k in K). (2 . one) (x*) (zero -o rho(y, k))",
+    "E^3 (y in I). (E^1 (k in K). true) /\\ (A^inf (w in I). phi(w)^*)",
+    # open contexts: free variables a subformula, or the whole formula, omits
+    "(rho(x, z) (x) phi(x)) -o rho(x, z)^*",
+    "E^2 (y in I). rho(y, z) (+*) (0.5 . (phi(x) (+) psi(y)))",
+    "A^0 (k in K). rho(x, k) (x*) (phi(x) \\/ psi(x))",
+    "true",
+    "mu(z)",
+    "rho(x, z) (x) phi(x)",
+    "mu(z) (+) phi(x)",
+    "E^2 (y in I). rho(y, z) (x) 0.25",
+)
+
+
+def free_variables(f):
+    """The variables f's atoms name that no quantifier inside f binds (a
+    well-formed formula never binds a name that is bound around it)."""
+    named, bound = set(), set()
+    for node, _ in walk(f):
+        if isinstance(node, Atom):
+            named.update(node.args)
+        elif isinstance(node, Quant):
+            bound.add(node.var)
+    return named - bound
+
+
+def factor_formulas():
+    rng = random.Random(19)
+    env = factor_environment(rng)
+    x, z = ("x", env.spaces["I"]), ("z", env.spaces["K"])
+    for text in FACTOR_CASES:
         f = parse(text)
+        for ctx in (Context((x, z)), Context((z, x)), Context((x,)), Context(())):
+            if free_variables(f) <= set(ctx.names()):
+                yield f, ctx, env
+
+
+def test_evaluator_matches_the_reference_over_free_variables():
+    seen = 0
+    for f, ctx, env in factor_formulas():
         for g, e, mode in ((f, env, "mul"),
                            (translate_formula(f, "to_add"), translate_environment(env), "add")):
-            assert hexes(evaluate(g, ctx, e).table) == hexes(ref_table(g, ctx, e, mode))
+            assert hexes(evaluate(g, ctx, e).table) == hexes(ref_table(g, ctx, e, mode)), \
+                (mode, g, ctx.names())
+        seen += 1
+    assert seen >= 2 * len(FACTOR_CASES)
+
+
+def test_each_node_table_spans_its_free_variables(monkeypatch):
+    """A node's table has one cell per tuple of its free variables, ordered as
+    the context and then the binders, outermost first."""
+    values = []
+    fold = semantics._fold
+
+    def spy(walked, combine):
+        def record(node, bound, kids):
+            values.append((node, bound, combine(node, bound, kids)))
+            return values[-1][2]
+        return fold(walked, record)
+
+    monkeypatch.setattr(semantics, "_fold", spy)
+    rng = random.Random(29)
+    cases = list(factor_formulas())
+    for _ in range(100):
+        env = factor_environment(rng)
+        cases.append((random_formula(rng, depth=4), Context(()), env))
+    for f, ctx, env in cases:
+        for g, e in ((f, env), (translate_formula(f, "to_add"), translate_environment(env))):
+            values.clear()
+            evaluate(g, ctx, e)
+            for node, bound, (names, sizes, table) in values:
+                order = ctx.names() + tuple(bound)
+                free = free_variables(node)
+                assert names == tuple([v for v in order if v in free]), node
+                spaces = {**{v: s for v, s in ctx.entries},
+                          **{v: e.spaces[s] for v, s in bound.items()}}
+                assert sizes == tuple([len(spaces[v]) for v in names]), node
+                assert len(table) == math.prod(sizes), node
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +397,22 @@ def test_a_table_with_k_corner_cells_makes_at_most_k_calls(scalar_calls, mode):
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """The number of quantifier kernels built so far."""
-    built, build = [0], pmeans._kernel
+    """The quantifier kernels built so far, as (carrier, polarity, p) each,
+    and in ``asked`` the number of kernels asked of ``Carrier.quantifier``."""
+    built, build, ask = [], pmeans._kernel, pmeans.Carrier.quantifier
 
-    def spy(*args):
-        built[0] += 1
-        return build(*args)
+    def spy(c, polarity, p, *args):
+        built.append((c.mode, polarity, p))
+        return build(c, polarity, p, *args)
 
+    def asking(*args):
+        asked[0] += 1
+        return ask(*args)
+
+    asked = [0]
     monkeypatch.setattr(pmeans, "_kernel", spy)
-    return built
+    monkeypatch.setattr(pmeans.Carrier, "quantifier", asking)
+    return types.SimpleNamespace(built=built, asked=asked)
 
 
 def corner_free(rng, n):
@@ -348,13 +463,112 @@ def test_corner_free_checks_and_statistics_call_no_scalar_operation(scalar_calls
 
 @pytest.mark.parametrize("ni", (1, 4, 8))
 def test_adjunction_check_builds_three_kernels(kernels, ni):
+    # one per space: the marginal over K, the entailments over I and over I x K
     rng = random.Random(ni)
     space_i, space_k = uniform_space(ni, "I"), uniform_space(3, "K")
     adjunction_check(space_i, space_k, corner_free(rng, 3 * ni), corner_free(rng, ni), 2.0)
-    assert kernels[0] == 3
+    assert len(kernels.built) == 3
+    # a second check on the same spaces builds only on its new product space
+    adjunction_check(space_i, space_k, corner_free(rng, 3 * ni), corner_free(rng, ni), 2.0)
+    assert len(kernels.built) == 4
 
 
 @pytest.mark.parametrize("trials, seed", [(0, 0), (1, 0), (40, 0), (40, 4)])
 def test_transitivity_search_builds_one_kernel_per_trial(kernels, trials, seed):
+    """Each trial, and the canned witness, takes one kernel; the space keeps
+    it, so it is built once per space: the searched one and the witness's."""
     report = transitivity_search(uniform_space(2, "I"), 1.0, trials, seed)
-    assert kernels[0] == trials_run(report, trials)
+    assert kernels.asked[0] == trials_run(report, trials)
+    canned = report.details["source"]["kind"] == "canned"
+    assert kernels.built == [("mul", pmeans.Polarity.UNIVERSAL, 1.0)] * ((trials > 0) + canned)
+
+
+# ---------------------------------------------------------------------------
+# the kernels a space keeps
+# ---------------------------------------------------------------------------
+
+STORE_MAGNITUDES = (0.0, 0.5, 1.0, 2.0, 100.0, INF)
+
+
+def quantify_all(space, body):
+    return {(c.mode, polarity, p): hexes(c.quantifier(polarity, p, space)(body))
+            for c in (MUL, ADD) for polarity in pmeans.Polarity for p in STORE_MAGNITUDES}
+
+
+def test_a_kept_kernel_gives_what_a_new_one_gives(kernels):
+    rng = random.Random(31)
+    space = make_space(range(4), [0.5, 0.0, 2.0, 1e-320], name="I")
+    bodies = [[rng.choice((0.0, 1.0, INF, 3.0, 1e-300)) for _ in range(8)] for _ in range(20)]
+    first = [quantify_all(space, body) for body in bodies]
+    assert len(kernels.built) == len(first[0])  # once per key
+    assert [quantify_all(space, body) for body in bodies] == first
+    assert len(kernels.built) == len(first[0])
+    fresh = [quantify_all(make_space(range(4), space.weights, name="I"), body)
+             for body in bodies]
+    assert fresh == first
+
+
+def test_a_space_keeps_a_bounded_number_of_kernels(kernels):
+    space = uniform_space(3, "I")
+    bound = pmeans._KERNELS_PER_SPACE
+    for p in range(bound + 5):
+        MUL.quantifier(pmeans.Polarity.EXISTENTIAL, float(p), space)
+    kept = space._kernels[1]
+    assert len(kept) == bound
+    assert list(kept) == [("mul", pmeans.Polarity.EXISTENTIAL, float(p))
+                          for p in range(5, bound + 5)]  # the oldest dropped first
+    built = len(kernels.built)
+    MUL.quantifier(pmeans.Polarity.EXISTENTIAL, float(bound + 4), space)
+    assert len(kernels.built) == built
+    MUL.quantifier(pmeans.Polarity.EXISTENTIAL, 0.0, space)
+    assert len(kernels.built) == built + 1 and len(kept) == bound
+
+
+def test_threads_sharing_a_space_keep_a_bounded_store():
+    """Threads asking one space for more kernels than it keeps, switching as
+    often as the interpreter allows: none fails, every result is right and
+    the store stays bounded."""
+    space = make_space(range(3), [0.25, 0.5, 0.25], name="I")
+    body = [2.0, 0.5, 4.0]
+    magnitudes = [float(p) for p in range(pmeans._KERNELS_PER_SPACE + 16)]
+    want = {p: MUL.quantifier(pmeans.Polarity.EXISTENTIAL, p, make_space(
+        range(3), space.weights, name="I"))(body) for p in magnitudes}
+    failures = []
+
+    def ask(seed):
+        order = random.Random(seed).sample(magnitudes, len(magnitudes))
+        try:
+            for _ in range(5):
+                for p in order:
+                    if MUL.quantifier(pmeans.Polarity.EXISTENTIAL, p, space)(body) != want[p]:
+                        failures.append(p)
+        except Exception as exc:  # noqa: BLE001 (reported below)
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=ask, args=(i,)) for i in range(6)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert failures == []
+    assert len(space._kernels[1]) <= pmeans._KERNELS_PER_SPACE
+
+
+def test_kept_kernels_are_no_part_of_a_space():
+    weights = (0.25, 0.0, 0.75)
+    space, twin = make_space("abc", weights, name="I"), make_space("abc", weights, name="I")
+    before = (hash(space), repr(space))
+    quantified = quantify_all(space, [2.0, 0.0, 0.5])
+    assert space == twin and hash(space) == hash(twin) and (hash(space), repr(space)) == before
+    assert dataclasses.replace(space) == space
+    assert not hasattr(dataclasses.replace(space, name="J"), "_kernels")
+    for copy_ in (pickle.loads(pickle.dumps(space)), copy.deepcopy(space), copy.copy(space)):
+        assert copy_ == space and hash(copy_) == hash(space) and repr(copy_) == repr(space)
+        assert not hasattr(copy_, "_kernels")
+        assert quantify_all(copy_, [2.0, 0.0, 0.5]) == quantified
