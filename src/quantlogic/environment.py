@@ -57,8 +57,13 @@ def make_environment(mode: str, spaces: dict[str, Space],
         spaces, atoms = dict(spaces), dict(atoms)
     except (TypeError, ValueError):
         raise QuantLogicError("ENV_FORMAT", "spaces and atoms are mappings by name") from None
+    for name, space in spaces.items():
+        if not isinstance(space, Space):
+            raise QuantLogicError("ENV_FORMAT", f"space {name!r} is no Space: {space!r}")
     checked: dict[str, AtomTable] = {}
     for name, table in atoms.items():
+        if not isinstance(table, AtomTable):
+            raise QuantLogicError("ENV_FORMAT", f"atom {name!r} is no AtomTable: {table!r}")
         size = 1
         for space_name in table.context:
             if space_name not in spaces:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from .errors import FormulaSyntaxError, QuantLogicError
-from .extreal import (INF, MUL_CONSTANTS, VALUE_LITERAL, OpCode, check_add, check_mul,
-                      format_value, napier, napier_inv)
+from .extreal import (INF, MUL_CONSTANTS, VALUE_LITERAL, OpCode, _check_iterable, check_add,
+                      check_mul, format_value, napier, napier_inv)
 from .pmeans import Polarity, _check_magnitude, carrier
 from .spaces import Space
 
@@ -205,7 +205,15 @@ class Context:
     entries: tuple[tuple[str, Space], ...] = ()
 
     def __post_init__(self):
-        names = [v for v, _ in self.entries]
+        entries = tuple(_check_iterable(self.entries, "context"))
+        for entry in entries:
+            if not (isinstance(entry, tuple) and len(entry) == 2
+                    and isinstance(entry[0], str) and isinstance(entry[1], Space)):
+                raise QuantLogicError("INVALID_CONTEXT",
+                                      f"context entries are (variable, Space) pairs, "
+                                      f"got {entry!r}")
+        object.__setattr__(self, "entries", entries)
+        names = [v for v, _ in entries]
         if len(set(names)) != len(names):
             raise QuantLogicError("SHADOWED_VARIABLE",
                                   f"duplicate variable in context: {names}")
@@ -441,7 +449,8 @@ def format_formula(f: Formula) -> str:
         if isinstance(node, Scalar):
             return f"{format_value(node.factor)} . {kids[0]}"
         if isinstance(node, Quant):
-            tag = next(t for t, pol in QUANTIFIERS.items() if pol is node.polarity)
+            existential = _check_tag(node.polarity, Polarity, "a polarity") is Polarity.EXISTENTIAL
+            tag = "E" if existential else "A"
             return (f"{tag}^{format_value(node.magnitude)} "
                     f"({node.var} in {node.space}). {kids[0]}")
         ops = [s if isinstance(kid, (Const, Atom, Dual)) else f"({s})"
@@ -449,7 +458,7 @@ def format_formula(f: Formula) -> str:
         if isinstance(node, Dual):
             return f"{ops[0]}^*"
         if isinstance(node, BinOp):
-            return f"{ops[0]} {OP_TOKENS[node.op]} {ops[1]}"
+            return f"{ops[0]} {OP_TOKENS[_check_tag(node.op, OpCode, 'an operator')]} {ops[1]}"
         return f"{ops[0]} -o {ops[1]}"
 
     return fold(f, combine)
@@ -466,14 +475,26 @@ def check_wellformed(f: Formula, ctx: Context, env) -> Formula:
     of UNBOUND_VARIABLE / SHADOWED_VARIABLE / ATOM_ARITY / UNKNOWN_SPACE /
     UNKNOWN_ATOM / INVALID_VALUE / INVALID_P otherwise, for the first
     offending node in pre-order, left to right.  Magnitudes and scalar
-    factors of code-built nodes meet the parser's ranges here.
+    factors of code-built nodes meet the parser's ranges here, and their
+    polarities and operators must be ``Polarity`` and ``OpCode`` members
+    (INVALID_NODE); a context that is no ``Context`` is INVALID_CONTEXT.
     """
     _check_walk(walk(f), ctx, env)
     return f
 
 
+def _check_tag(value: T, kind: type, what: str) -> T:
+    """value, if a member of the enum kind (not its value string); else INVALID_NODE."""
+    if not isinstance(value, kind):
+        raise QuantLogicError("INVALID_NODE",
+                              f"{what} is a {kind.__name__} member, got {value!r}")
+    return value
+
+
 def _check_walk(walked: list[tuple[Formula, Binders]], ctx: Context, env) -> None:
     """check_wellformed of the formula whose pre-order walk is ``walked``."""
+    if not isinstance(ctx, Context):
+        raise QuantLogicError("INVALID_CONTEXT", f"expected a Context, got {ctx!r}")
     c = carrier(env.mode)
     outer = {v: s.name for v, s in ctx.entries}
     for node, bound in walked:
@@ -503,7 +524,10 @@ def _check_walk(walked: list[tuple[Formula, Binders]], ctx: Context, env) -> Non
                         "ATOM_ARITY",
                         f"atom {node.name!r} expects a {space_name!r} variable, "
                         f"but {arg!r} ranges over {scope[arg]!r}")
+        elif isinstance(node, BinOp):
+            _check_tag(node.op, OpCode, "an operator")
         elif isinstance(node, Quant):
+            _check_tag(node.polarity, Polarity, "a polarity")
             _check_magnitude(node.magnitude)
             if node.space not in env.spaces:
                 raise QuantLogicError("UNKNOWN_SPACE",

@@ -24,17 +24,17 @@ its values are represented (``Carrier``).  The universal polarity takes the
 exponent -p as it stands, on the direct route and in the log domain
 (``exp(-L)`` with L the log-domain mean of ``-log a``), and no route takes a
 reciprocal, so the extremum is exact and values at either end of the double
-range keep their place.  A space keeps the kernel of each (carrier, polarity,
-p) that was asked of it, built the first time (``Carrier.quantifier``), and
-one support record that all its kernels share; a kernel maps a body table to
-the quantified table chunk by chunk.  Each chunk is absorbed, or takes the
+range keep their place.  A kernel is built where a table is quantified
+(``Carrier.quantifier``), from the support record that its space derives
+once (``spaces.Space._support_record``); it maps a body table to the
+quantified table chunk by chunk.  Each chunk is absorbed, or takes the
 extremum, the geometric mean, the direct sum of powers or the log domain; the
 direct route is taken where every power and term it computes is a normal
 double and their sum is finite, and the log domain everywhere else.  The
 corners are found by the arithmetic: at finite p > 0 a chunk first takes its
 carrier's route as it stands, a route that cannot succeed on a chunk a corner
 decides, and only a chunk where it fails is scanned for the corners
-(``_kernel``, ``_aggregate``).
+(``_quantifier``, ``_aggregate``).
 ``p_mean``, ``p_sum``, ``add_quantifier`` and ``escort_quantifier`` run one
 chunk through the same kernel.
 """
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -60,7 +59,7 @@ from .extreal import (ADD_CONSTANTS, ADD_TABLES, INF, MUL_CONSTANTS, MUL_TABLES,
                       check_mul_table, exact_float, kahan_sum, mul_div_table,
                       mul_dual_table, mul_pow_table, napier_inv, napier_inv_table,
                       napier_table)
-from .spaces import Space, make_space
+from .spaces import Space, _support, make_space
 
 class Polarity(enum.Enum):
     EXISTENTIAL = "existential"  # exponent +p
@@ -156,48 +155,6 @@ def _weighted_sum(ws: Sequence[float], xs: Iterable[float]) -> float:
     return exact_float(sum(map(mul, map(Fraction, ws), map(Fraction, xs))))
 
 
-def _kernel(c: Carrier, polarity: Polarity, p: float, ws: Sequence[float],
-            log_ws: Sequence[float]) -> Callable:
-    """The aggregate in carrier c of a chunk over weights ws > 0, logs log_ws.
-
-    ws and log_ws are shared with the other kernels over the same weights and
-    are never changed: a kernel keeps only log_ws scaled by 1/max(p, 1), and
-    at p <= 1 not even that copy.
-
-    A chunk is absorbed, or takes the extremum (p = inf) or the geometric mean
-    (p = 0).  At any other p a MUL chunk takes the direct route,
-    ``(sum_i w_i a_i**e) ** (1/e)`` with e = +-p, when every power a_i**e and
-    every term w_i a_i**e is a normal double and their sum is finite; a chunk
-    where one of them underflows, is subnormal or overflows, and every ADD
-    chunk, takes the log domain.  Only a chunk holding the dropped corner picks
-    out its remaining points one by one.
-
-    At finite p > 0 the corners are found by the arithmetic: a chunk first
-    takes its carrier's fast route as it stands, and only a chunk where that
-    fails is scanned for the corners.  The direct route fails on every chunk
-    holding 0 or inf (0**e is 0, 0**-e raises, an inf term makes the sum
-    infinite).  In the log domain a dropped corner contributes exp(-inf) = 0,
-    exactly as if it had been picked out, and an absorbing one, or a chunk of
-    dropped corners only, makes the factoring maximum non-finite and the mean
-    NaN (``_log_mean``).  MUL chunks leave the log domain for after the scans,
-    since the log of 0 raises.
-    """
-    true, false = c.constants["true"], c.constants["false"]
-    absorb, drop = (true, false) if polarity is Polarity.EXISTENTIAL else (false, true)
-    # The mean leans to its absorbing corner.  Where that corner is the numeric
-    # minimum (MUL universal, ADD existential) the extremum is min, the direct
-    # route takes exponent -p and the log domain runs on negated coordinates.
-    lower = absorb < drop
-    if p == INF:
-        return min if lower else max
-    k = max(p, 1.0)
-    lws = log_ws if k == 1.0 else [lw / k for lw in log_ws]
-    # A space keeps its kernels (Carrier.quantifier), so a kernel is a tuple of
-    # its parameters for _aggregate: less than half the memory of closures.
-    return partial(_aggregate, (p, -p if lower else p, lower, absorb, drop, ws, lws,
-                                c.powers, c.logs, c.exp))
-
-
 def _direct(e: float, ws: Sequence[float], xs: Sequence[float]) -> float:
     """The direct route, ``(sum_i w_i a_i**e) ** (1/e)``; NaN where it does not apply."""
     try:
@@ -222,7 +179,7 @@ def _log_domain(p: float, lower: bool, lws: Sequence[float], ls: Iterable[float]
 
 
 def _aggregate(kernel: tuple, xs: Sequence[float]) -> float:
-    """The aggregate of one chunk by a kernel that ``_kernel`` built."""
+    """The aggregate of one chunk by a kernel that ``_quantifier`` built."""
     p, e, lower, absorb, drop, ws, lws, powers, logs, exp = kernel
     if p > 0.0:
         got = _direct(e, ws, xs) if powers else _log_domain(p, lower, lws, logs(xs), exp)
@@ -247,30 +204,46 @@ def _aggregate(kernel: tuple, xs: Sequence[float]) -> float:
     return _log_domain(p, lower, lw, logs(xs), exp)
 
 
-def _support(weights: Sequence[float], where: str,
-             log_weights: Sequence[float] | None = None) -> tuple:
-    """(n, support, its weights, their logs) of n weights: what every kernel
-    over them shares.
-
-    Points of weight 0 never contribute, so they are left out of the support.
-    ``log_weights`` (default: log w, -inf off the support) may be exact where
-    a weight w underflowed: such a point stays in the support.
-    """
-    if log_weights is None:
-        log_weights = [math.log(w) if w > 0.0 else -INF for w in weights]
-    support = [i for i, lw in enumerate(log_weights) if lw > -INF]
-    if not support:
-        raise QuantLogicError("EMPTY_SUPPORT", f"{where} has empty support")
-    return (len(weights), support, [weights[i] for i in support],
-            [log_weights[i] for i in support])
-
-
 def _quantifier(c: Carrier, polarity: Polarity, p: float, record: tuple) -> Callable:
     """A function from a body table (n values per chunk) to its quantified
     table (one aggregate per chunk) in carrier c, over the ``_support``
-    record of n weights: cells off the support are dropped first."""
+    record (n, support, weights ws > 0 on it, their logs): cells off the
+    support are dropped first, then each chunk is aggregated.  The record is
+    never changed: at p > 1 a kernel keeps its log weights scaled by 1/p.
+
+    A chunk is absorbed, or takes the extremum (p = inf) or the geometric mean
+    (p = 0).  At any other p a MUL chunk takes the direct route,
+    ``(sum_i w_i a_i**e) ** (1/e)`` with e = +-p, when every power a_i**e and
+    every term w_i a_i**e is a normal double and their sum is finite; a chunk
+    where one of them underflows, is subnormal or overflows, and every ADD
+    chunk, takes the log domain.  Only a chunk holding the dropped corner picks
+    out its remaining points one by one.
+
+    At finite p > 0 the corners are found by the arithmetic: a chunk first
+    takes its carrier's fast route as it stands, and only a chunk where that
+    fails is scanned for the corners.  The direct route fails on every chunk
+    holding 0 or inf (0**e is 0, 0**-e raises, an inf term makes the sum
+    infinite).  In the log domain a dropped corner contributes exp(-inf) = 0,
+    exactly as if it had been picked out, and an absorbing one, or a chunk of
+    dropped corners only, makes the factoring maximum non-finite and the mean
+    NaN (``_log_mean``).  MUL chunks leave the log domain for after the scans,
+    since the log of 0 raises.
+    """
     n, support, ws, lws = record
-    return partial(_chunks, _kernel(c, polarity, p, ws, lws), n, support)
+    true, false = c.constants["true"], c.constants["false"]
+    absorb, drop = (true, false) if polarity is Polarity.EXISTENTIAL else (false, true)
+    # The mean leans to its absorbing corner.  Where that corner is the numeric
+    # minimum (MUL universal, ADD existential) the extremum is min, the direct
+    # route takes exponent -p and the log domain runs on negated coordinates.
+    lower = absorb < drop
+    if p == INF:
+        aggregate = min if lower else max
+    else:
+        if p > 1.0:
+            lws = [lw / p for lw in lws]
+        aggregate = partial(_aggregate, (p, -p if lower else p, lower, absorb, drop, ws, lws,
+                                         c.powers, c.logs, c.exp))
+    return partial(_chunks, aggregate, n, support)
 
 
 def _chunks(aggregate: Callable, n: int, support: Sequence[int],
@@ -340,13 +313,6 @@ def escort_quantifier(c: Carrier, sp: SignedP, space: Space, masses: Sequence[Mu
 # the two carriers
 # --------------------------------------------------------------------------
 
-# The most quantifier kernels one space keeps (``Carrier.quantifier``), and
-# the lock under which a kept kernel is added or dropped: spaces may be shared
-# between threads, and dropping the oldest iterates over the kept ones.
-_KERNELS_PER_SPACE = 64
-_KEEPING = threading.Lock()
-
-
 @dataclass(frozen=True)
 class Carrier:
     """What each constant, connective and quantifier means in one carrier.
@@ -378,27 +344,9 @@ class Carrier:
 
     def quantifier(self, polarity: Polarity, p: float, space: Space) -> Callable:
         """A function from a body table over space (one chunk per row) to the
-        quantified table.
-
-        It is built once per (carrier, polarity, p) on a space and kept there,
-        with the space's one ``_support`` record, outside the space's fields
-        (``Space.__getstate__``); past ``_KERNELS_PER_SPACE`` kernels the
-        oldest is dropped.
-        """
-        try:
-            record, kernels = space._kernels
-        except AttributeError:
-            record, kernels = _support(space.weights, f"space {space.name!r}"), {}
-            object.__setattr__(space, "_kernels", (record, kernels))
-        key = (self.mode, polarity, p)
-        table = kernels.get(key)
-        if table is None:
-            table = _quantifier(self, polarity, p, record)
-            with _KEEPING:
-                if len(kernels) >= _KERNELS_PER_SPACE:
-                    del kernels[next(iter(kernels))]
-                kernels[key] = table
-        return table
+        quantified table, built over the support record that the space
+        derives at its first quantification."""
+        return _quantifier(self, polarity, p, space._support_record)
 
 
 MUL = Carrier("mul", "add", MUL_CONSTANTS, MUL_TABLES, mul_div_table, mul_dual_table,

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import index
+from typing import Sequence
 
 from .errors import QuantLogicError
-from .extreal import _check_iterable, check_add, kahan_sum
+from .extreal import INF, _check_iterable, check_add, kahan_sum
 
 # Slack for comparisons between floating-point weight sums.
 _WEIGHT_TOL = 1e-12
@@ -27,6 +29,10 @@ class Space:
     weights: tuple[float, ...]
 
     def __post_init__(self):
+        # each weight is read by check_add, but a NaN is left for the check below
+        weights = _check_iterable(self.weights, f"weights of {self.name!r}")
+        object.__setattr__(self, "weights",
+                           tuple([w if w != w else check_add(w) for w in weights]))
         if len(self.points) == 0:
             raise QuantLogicError("EMPTY_SPACE", f"space {self.name!r} has no points")
         if len(self.points) != len(self.weights):
@@ -47,10 +53,11 @@ class Space:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __getstate__(self) -> dict:
-        # the fields only: the quantifier kernels kept on a space (see
-        # pmeans.Carrier.quantifier) hold functions, and are rebuilt where needed
-        return {k: v for k, v in self.__dict__.items() if k != "_kernels"}
+    @cached_property
+    def _support_record(self) -> tuple:
+        """The ``_support`` record of the weights, derived at the first
+        quantification over the space (``pmeans.Carrier.quantifier``)."""
+        return _support(self.weights, f"space {self.name!r}")
 
     @property
     def total_mass(self) -> float:
@@ -80,12 +87,27 @@ class Space:
                                   f"no point {point!r} in space {self.name!r}") from None
 
 
+def _support(weights: Sequence[float], where: str,
+             log_weights: Sequence[float] | None = None) -> tuple:
+    """(n, support, its weights, their logs) of n weights: what a quantifier
+    kernel over them reads.
+
+    Points of weight 0 never contribute, so they are left out of the support.
+    ``log_weights`` (default: log w, -inf off the support) may be exact where
+    a weight w underflowed: such a point stays in the support.
+    """
+    if log_weights is None:
+        log_weights = [math.log(w) if w > 0.0 else -INF for w in weights]
+    support = [i for i, lw in enumerate(log_weights) if lw > -INF]
+    if not support:
+        raise QuantLogicError("EMPTY_SUPPORT", f"{where} has empty support")
+    return (len(weights), support, [weights[i] for i in support],
+            [log_weights[i] for i in support])
+
+
 def make_space(points, weights, name: str = "S") -> Space:
-    # each weight is read by check_add, but a NaN is left for Space to report
     points = _check_iterable(points, f"points of {name!r}")
-    weights = _check_iterable(weights, f"weights of {name!r}")
-    return Space(name, tuple(str(p) for p in points),
-                 tuple([w if w != w else check_add(w) for w in weights]))
+    return Space(name, tuple(str(p) for p in points), weights)
 
 
 def _point_labels(points) -> tuple[str, ...]:

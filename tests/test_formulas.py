@@ -292,6 +292,29 @@ def test_wellformed_rejects_code_built_nodes_outside_the_grammar(node, code, mod
     assert err.value.code == code
 
 
+@pytest.mark.parametrize("node", [
+    Quant("existential", 1.0, "x", "I", F_X),
+    Quant(None, 1.0, "x", "I", F_X),
+    Quant(Polarity.EXISTENTIAL, 1.0, "x", "I", BinOp("tensor", F_X, F_X)),
+    Dual(BinOp(Polarity.UNIVERSAL, G_Y, G_Y)),
+])
+def test_code_built_nodes_take_a_polarity_and_an_operator(node):
+    # the value string of a Polarity or an OpCode is no member: every entry
+    # that reads the node reports it, none evaluates it as another member
+    env = environment_from_dict({
+        "spaces": {"I": {"points": ["a", "b"], "weights": [0.5, 0.5]}},
+        "atoms": {"f": {"context": ["I"], "values": [1, 4]},
+                  "g": {"context": ["I"], "values": [2, 0]}},
+    })
+    context = Context((("y", env.spaces["I"]),))
+    for read in (lambda: check_wellformed(node, context, env),
+                 lambda: eval_mul(node, context, env),
+                 lambda: format_formula(node)):
+        with pytest.raises(QuantLogicError) as err:
+            read()
+        assert err.value.code == "INVALID_NODE"
+
+
 @pytest.mark.parametrize("mode", ["mul", "add"])
 def test_evaluate_walks_its_formula_once(monkeypatch, mode):
     # A pre-order pass reads every subformula field once; one pass serves both

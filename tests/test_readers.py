@@ -20,6 +20,7 @@ from quantlogic import (
     Scalar,
     Separator,
     SignedP,
+    Space,
     ValueVector,
     add_quantifier,
     adjunction_check,
@@ -176,6 +177,26 @@ def test_weights_are_read_then_checked_as_weights(x, code):
     assert err.value.code == code
 
 
+@pytest.mark.parametrize("x, code", [("x", "INVALID_VALUE"), ([1], "INVALID_VALUE"),
+                                     (math.nan, "NONFINITE_WEIGHT"),
+                                     (HUGE, "NONFINITE_WEIGHT"), (-HUGE, "NONFINITE_WEIGHT"),
+                                     (-1, "NEGATIVE_WEIGHT")],
+                         ids=repr)
+def test_a_space_reads_its_own_weights(x, code):
+    with pytest.raises(QuantLogicError) as err:
+        Space("S", ("a", "b"), (1.0, x))
+    assert err.value.code == code
+
+
+def test_a_space_stores_its_weights_as_read():
+    with pytest.raises(QuantLogicError) as err:
+        Space("S", ("a",), None)
+    assert err.value.code == "INVALID_VALUE"
+    space = Space("S", ("a", "b", "c"), [True, 2, 0.5])
+    assert space.weights == (1.0, 2.0, 0.5) and all(type(w) is float for w in space.weights)
+    assert space == make_space("abc", (1.0, 2.0, 0.5))
+
+
 @pytest.mark.parametrize("make, code", [
     (lambda: make_space(["a"], None), "INVALID_VALUE"),
     (lambda: make_space(None, [1.0]), "INVALID_VALUE"),
@@ -191,6 +212,14 @@ def test_weights_are_read_then_checked_as_weights(x, code):
     (lambda: add_scalar("x", 1.0), "INVALID_VALUE"),
     (lambda: add_scalar(None, 1.0), "INVALID_VALUE"),
     (lambda: add_scalar_table("x", [1.0]), "INVALID_VALUE"),
+    (lambda: make_environment("mul", {"I": S}, {"f": [1, 2]}), "ENV_FORMAT"),
+    (lambda: make_environment("mul", {"I": [1.0, 1.0]}, {}), "ENV_FORMAT"),
+    (lambda: Context((("x",),)), "INVALID_CONTEXT"),
+    (lambda: Context((("x", "I"),)), "INVALID_CONTEXT"),
+    (lambda: Context(((1, S),)), "INVALID_CONTEXT"),
+    (lambda: Context(None), "INVALID_VALUE"),
+    (lambda: eval_mul(Const(1.0), None, ENV), "INVALID_CONTEXT"),
+    (lambda: check_wellformed(F_X, (("x", S),), ENV), "INVALID_CONTEXT"),
 ])
 def test_containers_and_factors_that_cannot_be_read(make, code):
     with pytest.raises(QuantLogicError) as err:

@@ -18,7 +18,7 @@ from quantlogic import (INF, Context, PointMap, QuantLogicError, ValueVector,
                         environment_from_dict, evaluate, extreal, laxity_check, make_space,
                         normalize, parse, pmeans, pushforward_density, reflexivity_check,
                         reindex_monotonicity_check, renyi_entropy, renyi_formula_path,
-                        semantics, softmax_p, stats, translate_environment,
+                        semantics, softmax_p, spaces, stats, translate_environment,
                         translate_formula, transitivity_search, uniform_space)
 from quantlogic.extreal import (ADD_OPS, ADD_TABLES, MUL_OPS, MUL_TABLES, OpCode,
                                 add_div, add_div_table, add_dual, add_dual_table,
@@ -398,21 +398,21 @@ def test_a_table_with_k_corner_cells_makes_at_most_k_calls(scalar_calls, mode):
 @pytest.fixture
 def kernels(monkeypatch):
     """The quantifier kernels built so far, as (carrier, polarity, p) each,
-    and in ``asked`` the number of kernels asked of ``Carrier.quantifier``."""
-    built, build, ask = [], pmeans._kernel, pmeans.Carrier.quantifier
+    and in ``records`` the weights of each support record a space derived."""
+    built, records = [], []
+    build, derive = pmeans._quantifier, spaces._support
 
-    def spy(c, polarity, p, *args):
+    def building(c, polarity, p, record):
         built.append((c.mode, polarity, p))
-        return build(c, polarity, p, *args)
+        return build(c, polarity, p, record)
 
-    def asking(*args):
-        asked[0] += 1
-        return ask(*args)
+    def deriving(weights, *args):
+        records.append(tuple(weights))
+        return derive(weights, *args)
 
-    asked = [0]
-    monkeypatch.setattr(pmeans, "_kernel", spy)
-    monkeypatch.setattr(pmeans.Carrier, "quantifier", asking)
-    return types.SimpleNamespace(built=built, asked=asked)
+    monkeypatch.setattr(pmeans, "_quantifier", building)
+    monkeypatch.setattr(spaces, "_support", deriving)
+    return types.SimpleNamespace(built=built, records=records)
 
 
 def corner_free(rng, n):
@@ -467,70 +467,73 @@ def test_adjunction_check_builds_three_kernels(kernels, ni):
     rng = random.Random(ni)
     space_i, space_k = uniform_space(ni, "I"), uniform_space(3, "K")
     adjunction_check(space_i, space_k, corner_free(rng, 3 * ni), corner_free(rng, ni), 2.0)
-    assert len(kernels.built) == 3
-    # a second check on the same spaces builds only on its new product space
+    assert len(kernels.built) == 3 and len(kernels.records) == 3
+    # a second check on the same spaces derives a record only for its new
+    # product space
     adjunction_check(space_i, space_k, corner_free(rng, 3 * ni), corner_free(rng, ni), 2.0)
-    assert len(kernels.built) == 4
+    assert len(kernels.built) == 6 and len(kernels.records) == 4
 
 
 @pytest.mark.parametrize("trials, seed", [(0, 0), (1, 0), (40, 0), (40, 4)])
 def test_transitivity_search_builds_one_kernel_per_trial(kernels, trials, seed):
-    """Each trial, and the canned witness, takes one kernel; the space keeps
-    it, so it is built once per space: the searched one and the witness's."""
+    """Each trial, and the canned witness, takes one kernel; each space
+    derives one record: the searched one and the witness's."""
     report = transitivity_search(uniform_space(2, "I"), 1.0, trials, seed)
-    assert kernels.asked[0] == trials_run(report, trials)
+    assert kernels.built == [("mul", pmeans.Polarity.UNIVERSAL, 1.0)] * trials_run(report, trials)
     canned = report.details["source"]["kind"] == "canned"
-    assert kernels.built == [("mul", pmeans.Polarity.UNIVERSAL, 1.0)] * ((trials > 0) + canned)
+    assert len(kernels.records) == (trials > 0) + canned
 
 
 # ---------------------------------------------------------------------------
-# the kernels a space keeps
+# the support record a space derives
 # ---------------------------------------------------------------------------
 
-STORE_MAGNITUDES = (0.0, 0.5, 1.0, 2.0, 100.0, INF)
+MAGNITUDES = (0.0, 0.5, 1.0, 2.0, 100.0, INF)
 
 
 def quantify_all(space, body):
     return {(c.mode, polarity, p): hexes(c.quantifier(polarity, p, space)(body))
-            for c in (MUL, ADD) for polarity in pmeans.Polarity for p in STORE_MAGNITUDES}
+            for c in (MUL, ADD) for polarity in pmeans.Polarity for p in MAGNITUDES}
 
 
 def test_a_kept_kernel_gives_what_a_new_one_gives(kernels):
+    """Kernels built over a space's kept record give what kernels over a
+    fresh space's record give."""
     rng = random.Random(31)
     space = make_space(range(4), [0.5, 0.0, 2.0, 1e-320], name="I")
     bodies = [[rng.choice((0.0, 1.0, INF, 3.0, 1e-300)) for _ in range(8)] for _ in range(20)]
     first = [quantify_all(space, body) for body in bodies]
-    assert len(kernels.built) == len(first[0])  # once per key
+    assert kernels.records == [space.weights]
+    assert len(kernels.built) == len(bodies) * len(first[0])  # one per ask
     assert [quantify_all(space, body) for body in bodies] == first
-    assert len(kernels.built) == len(first[0])
+    assert kernels.records == [space.weights]
     fresh = [quantify_all(make_space(range(4), space.weights, name="I"), body)
              for body in bodies]
     assert fresh == first
+    assert len(kernels.records) == 1 + len(bodies)
 
 
-def test_a_space_keeps_a_bounded_number_of_kernels(kernels):
+def test_a_space_derives_its_support_record_once(kernels):
     space = uniform_space(3, "I")
-    bound = pmeans._KERNELS_PER_SPACE
-    for p in range(bound + 5):
-        MUL.quantifier(pmeans.Polarity.EXISTENTIAL, float(p), space)
-    kept = space._kernels[1]
-    assert len(kept) == bound
-    assert list(kept) == [("mul", pmeans.Polarity.EXISTENTIAL, float(p))
-                          for p in range(5, bound + 5)]  # the oldest dropped first
-    built = len(kernels.built)
-    MUL.quantifier(pmeans.Polarity.EXISTENTIAL, float(bound + 4), space)
-    assert len(kernels.built) == built
-    MUL.quantifier(pmeans.Polarity.EXISTENTIAL, 0.0, space)
-    assert len(kernels.built) == built + 1 and len(kept) == bound
+    for p in range(100):
+        for c in (MUL, ADD):
+            c.quantifier(pmeans.Polarity.EXISTENTIAL, float(p), space)
+    assert kernels.records == [space.weights] and len(kernels.built) == 200
+    # an empty support is found at each quantification, and no record is kept
+    empty = make_space("ab", [0.0, 0.0], name="Z")
+    for _ in range(2):
+        with pytest.raises(QuantLogicError) as err:
+            MUL.quantifier(pmeans.Polarity.UNIVERSAL, 2.0, empty)
+        assert err.value.code == "EMPTY_SUPPORT" and "'Z'" in err.value.message
+    assert kernels.records == [space.weights, empty.weights, empty.weights]
 
 
-def test_threads_sharing_a_space_keep_a_bounded_store():
-    """Threads asking one space for more kernels than it keeps, switching as
-    often as the interpreter allows: none fails, every result is right and
-    the store stays bounded."""
+def test_threads_sharing_a_space_get_right_results():
+    """Threads asking one space for kernels, switching as often as the
+    interpreter allows: none fails and every result is right."""
     space = make_space(range(3), [0.25, 0.5, 0.25], name="I")
     body = [2.0, 0.5, 4.0]
-    magnitudes = [float(p) for p in range(pmeans._KERNELS_PER_SPACE + 16)]
+    magnitudes = [float(p) for p in range(80)]
     want = {p: MUL.quantifier(pmeans.Polarity.EXISTENTIAL, p, make_space(
         range(3), space.weights, name="I"))(body) for p in magnitudes}
     failures = []
@@ -557,18 +560,17 @@ def test_threads_sharing_a_space_keep_a_bounded_store():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
     assert failures == []
-    assert len(space._kernels[1]) <= pmeans._KERNELS_PER_SPACE
 
 
-def test_kept_kernels_are_no_part_of_a_space():
+def test_the_support_record_is_no_part_of_a_space():
     weights = (0.25, 0.0, 0.75)
     space, twin = make_space("abc", weights, name="I"), make_space("abc", weights, name="I")
     before = (hash(space), repr(space))
     quantified = quantify_all(space, [2.0, 0.0, 0.5])
+    assert "_support_record" in vars(space) and "_support_record" not in vars(twin)
     assert space == twin and hash(space) == hash(twin) and (hash(space), repr(space)) == before
     assert dataclasses.replace(space) == space
-    assert not hasattr(dataclasses.replace(space, name="J"), "_kernels")
+    assert "_support_record" not in vars(dataclasses.replace(space, name="J"))
     for copy_ in (pickle.loads(pickle.dumps(space)), copy.deepcopy(space), copy.copy(space)):
         assert copy_ == space and hash(copy_) == hash(space) and repr(copy_) == repr(space)
-        assert not hasattr(copy_, "_kernels")
         assert quantify_all(copy_, [2.0, 0.0, 0.5]) == quantified
