@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import QuantLogicError
-from .extreal import INF_TOKENS, _check_count
+from .extreal import INF_TOKENS, _check_count, _check_iterable
 from .pmeans import carrier
 from .spaces import Space, make_space
 
@@ -51,7 +51,10 @@ class Environment:
 
 def make_environment(mode: str, spaces: dict[str, Space],
                      atoms: dict[str, AtomTable]) -> Environment:
-    """Validate and build an Environment; atom values are stored as floats."""
+    """Validate and build an Environment; atom values are stored as floats.
+
+    Each atom's context lists space names (else ENV_FORMAT), and its values
+    are a sequence (else INVALID_VALUE) of carrier values, one per cell."""
     check = carrier(mode).check_table
     try:
         spaces, atoms = dict(spaces), dict(atoms)
@@ -64,15 +67,21 @@ def make_environment(mode: str, spaces: dict[str, Space],
     for name, table in atoms.items():
         if not isinstance(table, AtomTable):
             raise QuantLogicError("ENV_FORMAT", f"atom {name!r} is no AtomTable: {table!r}")
+        try:
+            context = tuple(table.context)
+        except TypeError:
+            context = (None,)  # no names at all
+        if not all(isinstance(s, str) for s in context):
+            raise QuantLogicError("ENV_FORMAT", f"atom {name!r}: context lists space names")
         size = 1
-        for space_name in table.context:
+        for space_name in context:
             if space_name not in spaces:
                 raise QuantLogicError(
                     "UNKNOWN_SPACE",
                     f"atom {name!r} refers to unknown space {space_name!r}")
             size *= len(spaces[space_name])
-        checked[name] = AtomTable(table.context,
-                                  check(_check_count(table.values, size, f"atom {name!r}")))
+        values = tuple(_check_iterable(table.values, f"atom {name!r}"))
+        checked[name] = AtomTable(context, check(_check_count(values, size, f"atom {name!r}")))
     return Environment(mode, spaces, checked)
 
 
@@ -130,8 +139,6 @@ def environment_from_dict(doc: dict) -> Environment:
     atoms: dict[str, AtomTable] = {}
     for name, spec in (doc.get("atoms") or {}).items():
         context, values = _lists(spec, f"atom {name!r}", ("context", "values"))
-        if not all(isinstance(s, str) for s in context):
-            raise QuantLogicError("ENV_FORMAT", f"atom {name!r}: context lists space names")
         atoms[name] = AtomTable(tuple(context), _decode_table(values, f"atom {name!r}"))
     return make_environment(doc.get("mode", "mul"), spaces, atoms)
 

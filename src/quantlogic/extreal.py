@@ -53,6 +53,14 @@ class OpCode(enum.Enum):
     COTENSOR = "cotensor"
 
 
+def _check_tag(value, kind: type, what: str):
+    """value, if a member of the enum kind (not its value string); else INVALID_NODE."""
+    if not isinstance(value, kind):
+        raise QuantLogicError("INVALID_NODE",
+                              f"{what} is a {kind.__name__} member, got {value!r}")
+    return value
+
+
 # --------------------------------------------------------------------------
 # validation / io
 # --------------------------------------------------------------------------
@@ -298,13 +306,10 @@ def mul_logical_leq(a: MulReal, b: MulReal) -> bool:
 # additive carrier [-inf, +inf], logical order reversed
 # --------------------------------------------------------------------------
 
-def add_join(a: AddReal, b: AddReal) -> AddReal:
-    """Logical join = numeric min (the order is reversed)."""
-    return a if a <= b else b
-
-
-def add_meet(a: AddReal, b: AddReal) -> AddReal:
-    return a if a >= b else b
+# The additive order is the numeric order reversed, so the logical join is the
+# numeric min, which is the multiplicative meet, and the meet the numeric max.
+add_join = mul_meet
+add_meet = mul_join
 
 
 def add_add(a: AddReal, b: AddReal) -> AddReal:
@@ -474,14 +479,6 @@ def mul_pow_table(k: MulReal, xs: list) -> list:
         return [mul_pow(k, a) for a in xs]
 
 
-def add_join_table(xs: list, ys: list) -> list:
-    return [a if a <= b else b for a, b in zip(xs, ys)]
-
-
-def add_meet_table(xs: list, ys: list) -> list:
-    return [a if a >= b else b for a, b in zip(xs, ys)]
-
-
 def add_add_table(xs: list, ys: list) -> list:
     # -inf absorbs and +inf drops out by themselves; inf - inf gives NaN.
     out = [(a if a <= b else b) - math.log1p(math.exp(-abs(a - b)))
@@ -568,8 +565,8 @@ MUL_TABLES = {
 }
 
 ADD_TABLES = {
-    OpCode.JOIN: add_join_table,
-    OpCode.MEET: add_meet_table,
+    OpCode.JOIN: mul_meet_table,  # as add_join is mul_meet
+    OpCode.MEET: mul_join_table,
     OpCode.ADD: add_add_table,
     OpCode.HADD: add_hadd_table,
     OpCode.TENSOR: add_tensor_table,

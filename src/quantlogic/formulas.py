@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from .errors import FormulaSyntaxError, QuantLogicError
-from .extreal import (INF, MUL_CONSTANTS, VALUE_LITERAL, OpCode, _check_iterable, check_add,
-                      check_mul, format_value, napier, napier_inv)
-from .pmeans import Polarity, _check_magnitude, carrier
+from .extreal import (INF, MUL_CONSTANTS, VALUE_LITERAL, OpCode, _check_iterable, _check_tag,
+                      check_add, format_value)
+from .environment import Environment
+from .pmeans import ADD, MUL, Polarity, _check_magnitude, carrier
 from .spaces import Space
 
 T = TypeVar("T")
@@ -477,24 +478,19 @@ def check_wellformed(f: Formula, ctx: Context, env) -> Formula:
     offending node in pre-order, left to right.  Magnitudes and scalar
     factors of code-built nodes meet the parser's ranges here, and their
     polarities and operators must be ``Polarity`` and ``OpCode`` members
-    (INVALID_NODE); a context that is no ``Context`` is INVALID_CONTEXT.
+    (INVALID_NODE); a context that is no ``Context`` is INVALID_CONTEXT, and
+    an env that is no ``Environment`` ENV_FORMAT.
     """
     _check_walk(walk(f), ctx, env)
     return f
-
-
-def _check_tag(value: T, kind: type, what: str) -> T:
-    """value, if a member of the enum kind (not its value string); else INVALID_NODE."""
-    if not isinstance(value, kind):
-        raise QuantLogicError("INVALID_NODE",
-                              f"{what} is a {kind.__name__} member, got {value!r}")
-    return value
 
 
 def _check_walk(walked: list[tuple[Formula, Binders]], ctx: Context, env) -> None:
     """check_wellformed of the formula whose pre-order walk is ``walked``."""
     if not isinstance(ctx, Context):
         raise QuantLogicError("INVALID_CONTEXT", f"expected a Context, got {ctx!r}")
+    if not isinstance(env, Environment):
+        raise QuantLogicError("ENV_FORMAT", f"expected an Environment, got {env!r}")
     c = carrier(env.mode)
     outer = {v: s.name for v, s in ctx.entries}
     for node, bound in walked:
@@ -568,22 +564,20 @@ def substitute(f: Formula, mapping: dict[str, str]) -> Formula:
 def translate_formula(f: Formula, direction: str) -> Formula:
     """Napier-translate a formula between the carriers.
 
-    ``to_add`` sends every numeric literal through napier (-log), ``to_mul``
-    through napier_inv (1/exp), after checking it is a value of the source
-    carrier (else INVALID_VALUE); named constants, operators, scalars and
-    quantifiers carry over unchanged (their interpretations are already
-    napier conjugates of each other).
+    Each numeric literal is read by the source carrier's ``check`` (MUL for
+    ``to_add``, ADD for ``to_mul``; else INVALID_VALUE) and mapped by its
+    ``napier_table``, as ``translate_environment`` maps atom tables.  Named
+    constants, operators, scalars and quantifiers carry over unchanged (their
+    interpretations are already napier conjugates of each other).
     """
-    # the extreal names are looked up per call, so a rebound one is seen
-    pair = {"to_add": (check_mul, napier), "to_mul": (check_add, napier_inv)}.get(str(direction))
-    if pair is None:
+    c = {"to_add": MUL, "to_mul": ADD}.get(str(direction))
+    if c is None:
         raise QuantLogicError("INVALID_DIRECTION",
                               f"direction must be to_add or to_mul, got {direction!r}")
-    check, conv = pair
 
     def convert(node: Formula, bound: Binders, kids: list) -> Formula:
         if isinstance(node, Const) and not isinstance(node.value, str):
-            return Const(conv(check(node.value)))
+            return Const(c.napier_table([c.check(node.value)])[0])
         return rebuild(node, kids) if kids else node
 
     return fold(f, convert)

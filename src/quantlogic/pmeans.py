@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import QuantLogicError
 from .extreal import (ADD_CONSTANTS, ADD_TABLES, INF, MUL_CONSTANTS, MUL_TABLES, NAN,
-                      AddReal, MulReal, OpCode, _check_count, _check_iterable,
+                      AddReal, MulReal, OpCode, _check_count, _check_iterable, _check_tag,
                       add_div_table, add_dual_table, add_scalar_table, check_add,
                       check_add_table, check_mul,
                       check_mul_table, exact_float, kahan_sum, mul_div_table,
@@ -74,6 +74,7 @@ class SignedP:
     magnitude: float
 
     def __post_init__(self):
+        _check_tag(self.polarity, Polarity, "a polarity")
         object.__setattr__(self, "magnitude", _check_magnitude(self.magnitude))
 
 
@@ -209,7 +210,8 @@ def _quantifier(c: Carrier, polarity: Polarity, p: float, record: tuple) -> Call
     table (one aggregate per chunk) in carrier c, over the ``_support``
     record (n, support, weights ws > 0 on it, their logs): cells off the
     support are dropped first, then each chunk is aggregated.  The record is
-    never changed: at p > 1 a kernel keeps its log weights scaled by 1/p.
+    never changed: at p > 1 a kernel keeps its log weights scaled by 1/p.  A
+    polarity that is no ``Polarity`` member is INVALID_NODE.
 
     A chunk is absorbed, or takes the extremum (p = inf) or the geometric mean
     (p = 0).  At any other p a MUL chunk takes the direct route,
@@ -231,7 +233,8 @@ def _quantifier(c: Carrier, polarity: Polarity, p: float, record: tuple) -> Call
     """
     n, support, ws, lws = record
     true, false = c.constants["true"], c.constants["false"]
-    absorb, drop = (true, false) if polarity is Polarity.EXISTENTIAL else (false, true)
+    existential = _check_tag(polarity, Polarity, "a polarity") is Polarity.EXISTENTIAL
+    absorb, drop = (true, false) if existential else (false, true)
     # The mean leans to its absorbing corner.  Where that corner is the numeric
     # minimum (MUL universal, ADD existential) the extremum is min, the direct
     # route takes exponent -p and the log domain runs on negated coordinates.

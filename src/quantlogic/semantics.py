@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from .environment import Environment
 from .errors import QuantLogicError
 from .extreal import INF, NAN, MulReal, check_add
-from .formulas import (Atom, Binders, BinOp, Context, Div, Dual, Formula, Quant,
-                       _check_walk, _fold, walk)
+from .formulas import (Atom, Binders, BinOp, Context, Dual, Formula, Quant, _check_walk, _fold,
+                       walk)
 from .pmeans import MUL, add_quantifier, carrier  # noqa: F401 (re-export)
 
 
@@ -57,8 +57,6 @@ def _gather(values, strides, sizes) -> list[float]:
     widening a table by variables it does not name (stride 0).  It takes one
     slice of values per row of the outer variables.
     """
-    if not sizes:
-        return [values[0]]
     *outer, (s, n) = zip(strides, sizes)
     starts = [0]
     for t, m in outer:
@@ -90,8 +88,9 @@ def _widen(value: tuple, names: tuple, sizes: tuple):
     return _gather(table, [stride.get(v, 0) for v in names], sizes)
 
 
-def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str) -> Predicate:
-    """The table of f over ctx in one carrier, each node's built from its children's.
+def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str | None) -> Predicate:
+    """The table of f over ctx in the carrier mode (None: the environment's),
+    each node's built from its children's.
 
     A node's value is (its free variables, their sizes, its table), the
     variables ordered as the context and then the binders, outermost first.
@@ -101,12 +100,12 @@ def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str) -> Predicat
     body, so the body's table is one chunk per row; a body that omits the
     variable is widened by it first.
     """
-    if env.mode != mode:
+    if isinstance(env, Environment) and mode not in (None, env.mode):
         raise QuantLogicError("CARRIER_MISMATCH",
                               f"eval_{mode} needs an environment in {mode!r} mode")
     walked = walk(f)  # one pre-order pass, to validate and then to evaluate
     _check_walk(walked, ctx, env)
-    c = carrier(mode)
+    c = carrier(env.mode)
     names, sizes = ctx.names(), ctx.sizes()
 
     def span(bound: Binders, size: dict) -> tuple[tuple, tuple]:
@@ -143,7 +142,7 @@ def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str) -> Predicat
             return own, own_sizes, c.dual(table)
         return own, own_sizes, c.scalar(check_add(node.factor), table)  # a Scalar
 
-    return Predicate(ctx, mode, tuple(_widen(_fold(walked, node_value), names, sizes)))
+    return Predicate(ctx, c.mode, tuple(_widen(_fold(walked, node_value), names, sizes)))
 
 
 def eval_mul(f: Formula, ctx: Context, env: Environment) -> Predicate:
@@ -158,7 +157,7 @@ def eval_add(f: Formula, ctx: Context, env: Environment) -> Predicate:
 
 def evaluate(f: Formula, ctx: Context, env: Environment) -> Predicate:
     """Evaluate in whichever carrier the environment declares."""
-    return _evaluate(f, ctx, env, env.mode)
+    return _evaluate(f, ctx, env, None)
 
 
 # --------------------------------------------------------------------------

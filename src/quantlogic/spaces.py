@@ -22,13 +22,17 @@ _WEIGHT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Space:
-    """Finite weighted space: labelled points with nonnegative weights."""
+    """Finite weighted space: labelled points with nonnegative weights.
+
+    The points may be any iterable, and each label is read as its ``str``."""
 
     name: str
     points: tuple[str, ...]
     weights: tuple[float, ...]
 
     def __post_init__(self):
+        points = _check_iterable(self.points, f"points of {self.name!r}")
+        object.__setattr__(self, "points", tuple(map(str, points)))
         # each weight is read by check_add, but a NaN is left for the check below
         weights = _check_iterable(self.weights, f"weights of {self.name!r}")
         object.__setattr__(self, "weights",
@@ -106,15 +110,12 @@ def _support(weights: Sequence[float], where: str,
 
 
 def make_space(points, weights, name: str = "S") -> Space:
-    points = _check_iterable(points, f"points of {name!r}")
-    return Space(name, tuple(str(p) for p in points), weights)
+    return Space(name, points, weights)
 
 
-def _point_labels(points) -> tuple[str, ...]:
-    # an int n is shorthand for points labeled "0" .. "n-1"
-    if isinstance(points, int):
-        return tuple(str(i) for i in range(points))
-    return tuple(str(p) for p in _check_iterable(points, "points"))
+def _point_labels(points) -> tuple:
+    # an int n is shorthand for points labeled "0" .. "n-1"; Space reads each as its str
+    return tuple(range(points) if isinstance(points, int) else _check_iterable(points, "points"))
 
 
 def counting_space(points, name: str = "S") -> Space:
@@ -196,8 +197,11 @@ class PointMap:
 
 
 def point_map(source: Space, target: Space, labels) -> PointMap:
-    """Build a PointMap from target point *labels* (one per source point)."""
-    return PointMap(source, target, tuple(target.index(str(l)) for l in labels))
+    """Build a PointMap from target point *labels* (one per source point),
+    looking each up in one dict of the target's points."""
+    at = {p: i for i, p in enumerate(target.points)}
+    labels = map(str, _check_iterable(labels, "point labels"))
+    return PointMap(source, target, tuple([at[l] if l in at else target.index(l) for l in labels]))
 
 
 def identity_map(a: Space) -> PointMap:

@@ -6,7 +6,9 @@ Everything here is a thin specialization of the p-mean machinery:
   p = 1 is the classical softmax of the negative energies, p = inf the
   sharp (arg)max.
 * ``argmax``          — the unitary-separator cast of ``softmax_p(f, inf)``.
-* ``log_likelihood``  — the additive-carrier reading of softmax at p = 1.
+* ``log_likelihood``  — the additive-carrier reading of softmax at p = 1:
+  ``A^p (x in X). a(x) -o a(xstar)`` is softmax in one carrier and the
+  negative log-likelihood in the other.
 * ``renyi_entropy`` / ``hill_diversity`` — order-p entropy H_p and the
   effective number of outcomes D_p = exp(H_p), as the additive and the
   multiplicative reading of one quantifier: ``E^(p-1)`` (``A^(1-p)`` for
@@ -30,6 +32,9 @@ from .semantics import evaluate, separator_cast, unitary_separator
 from .spaces import Space
 
 _UNITARY_TOL = 1e-12
+
+# The body of softmax, quantified by A^p over x (log_likelihood, softmax_formula_path).
+_SOFTMAX = Div(Atom("a", ("x",)), Atom("a", ("xstar",)))
 
 
 @dataclass(frozen=True)
@@ -118,11 +123,10 @@ def log_likelihood(u: EnergyFunction) -> tuple[AddReal, ...]:
     """Negative log softmax-probability of each point under energies u.
 
     Computed as the additive evaluation of
-    ``A^1 (x in X). u(x) -o u(xstar)``, which agrees with
-    -log(softmax_1(e^-u)) pointwise.
+    ``A^1 (x in X). u(x) -o u(xstar)``, the formula of
+    ``softmax_formula_path``, which agrees with -log(softmax_1(e^-u)) pointwise.
     """
-    return _universal("add", u.space, u.energies, 1.0,
-                      Div(Atom("a", ("x",)), Atom("a", ("xstar",))), ("xstar",))
+    return _universal("add", u.space, u.energies, 1.0, _SOFTMAX, ("xstar",))
 
 
 def _escort(p: float) -> SignedP:
@@ -157,10 +161,10 @@ def shannon_entropy(phi: Distribution) -> float:
 
 
 def softmax_formula_path(f: ValueVector, p: float) -> tuple[MulReal, ...]:
-    """The same values through the formula evaluator — a cross-check path."""
+    """The same values through the formula evaluator — a cross-check path:
+    the multiplicative evaluation of ``A^p (x in X). f(x) -o f(xstar)``."""
     p = _check_p(p, positive=True)
-    return _universal("mul", f.space, f.values, p,
-                      Div(Atom("a", ("x",)), Atom("a", ("xstar",))), ("xstar",))
+    return _universal("mul", f.space, f.values, p, _SOFTMAX, ("xstar",))
 
 
 def renyi_formula_path(phi: Distribution, p: float) -> float:

@@ -215,6 +215,8 @@ def test_value_round_trip():
 
 MUL_OPS = [mul_join, mul_meet, mul_add, mul_hadd, mul_tensor, mul_cotensor]
 ADD_OPS = [add_join, add_meet, add_add, add_hadd, add_tensor, add_cotensor]
+# named by their additive names: add_join and add_meet are mul_meet and mul_join
+ADD_IDS = ["add_join", "add_meet", "add_add", "add_hadd", "add_tensor", "add_cotensor"]
 
 MUL_UNITS = {mul_join: 0.0, mul_meet: INF, mul_add: 0.0, mul_hadd: INF,
              mul_tensor: 1.0, mul_cotensor: 1.0}
@@ -231,7 +233,7 @@ def test_mul_commutative_associative_grid(op):
                 assert op(op(a, b), c) == op(a, op(b, c))
 
 
-@pytest.mark.parametrize("op", ADD_OPS)
+@pytest.mark.parametrize("op", ADD_OPS, ids=ADD_IDS)
 def test_add_commutative_associative_grid(op):
     for a in ADD_GRID:
         for b in ADD_GRID:
@@ -251,7 +253,7 @@ def test_mul_laws_random(op, data):
     assert close(op(a, MUL_UNITS[op]), a)
 
 
-@pytest.mark.parametrize("op", ADD_OPS)
+@pytest.mark.parametrize("op", ADD_OPS, ids=ADD_IDS)
 @given(data=st.data())
 def test_add_laws_random(op, data):
     a = data.draw(finite_add)

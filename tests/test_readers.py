@@ -35,6 +35,7 @@ from quantlogic import (
     environment_from_dict,
     eval_add,
     eval_mul,
+    evaluate,
     exists_p,
     forall_p,
     hill_diversity,
@@ -43,6 +44,8 @@ from quantlogic import (
     make_space,
     p_mean,
     p_sum,
+    parse,
+    point_map,
     principal_separator,
     pushforward_density,
     reflexivity_check,
@@ -58,6 +61,7 @@ from quantlogic import (
     value_vector,
 )
 from quantlogic.extreal import add_scalar, add_scalar_table
+from quantlogic.pmeans import MUL
 
 HUGE = 10 ** 400
 JUNK = st.sampled_from(["x", "inf", None, [1], b"1", HUGE, -HUGE, math.nan]) | st.floats()
@@ -220,11 +224,39 @@ def test_a_space_stores_its_weights_as_read():
     (lambda: Context(None), "INVALID_VALUE"),
     (lambda: eval_mul(Const(1.0), None, ENV), "INVALID_CONTEXT"),
     (lambda: check_wellformed(F_X, (("x", S),), ENV), "INVALID_CONTEXT"),
+    (lambda: Space("S", None, (1.0,)), "INVALID_VALUE"),
+    (lambda: Space("S", 5, (1.0,)), "INVALID_VALUE"),
+    (lambda: point_map(S, S, 5), "INVALID_VALUE"),
+    (lambda: make_environment("mul", {"I": S}, {"f": AtomTable(5, (1.0,))}), "ENV_FORMAT"),
+    (lambda: make_environment("mul", {"I": S}, {"f": AtomTable(([1],), (1.0,))}), "ENV_FORMAT"),
+    (lambda: make_environment("mul", {"I": S}, {"f": AtomTable(("I",), None)}), "INVALID_VALUE"),
+    (lambda: evaluate(parse("true"), Context(), None), "ENV_FORMAT"),
+    (lambda: eval_mul(parse("true"), Context(), None), "ENV_FORMAT"),
+    (lambda: check_wellformed(parse("true"), Context(), None), "ENV_FORMAT"),
 ])
 def test_containers_and_factors_that_cannot_be_read(make, code):
     with pytest.raises(QuantLogicError) as err:
         make()
     assert err.value.code == code
+
+
+def test_a_space_reads_its_points_as_make_space_does():
+    assert Space("S", "ab", (1.0, 1.0)).points == ("a", "b") == make_space("ab", (1, 1)).points
+    assert Space("S", range(2), (1.0, 1.0)).points == ("0", "1")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: p_mean(SignedP("existential", 1.0), value_vector(uniform_space(2), [1, 2])),
+    lambda: p_sum(SignedP("existential", 2.0), [3, 4]),
+    lambda: add_quantifier("existential", 1.0, [1, 1], [0, 0]),
+    lambda: MUL.quantifier("existential", 1.0, uniform_space(2))([1.0, 2.0]),
+])
+def test_a_polarity_is_a_polarity_member(make):
+    # the value string was read as the universal polarity
+    with pytest.raises(QuantLogicError) as err:
+        make()
+    assert (err.value.code, err.value.message) \
+        == ("INVALID_NODE", "a polarity is a Polarity member, got 'existential'")
 
 
 def test_integers_beyond_the_double_range_read_alike():

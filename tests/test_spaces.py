@@ -194,6 +194,21 @@ def test_point_map_indices_are_integers_in_range(j):
     assert err.value.code == "MAP_RANGE"
 
 
+def test_point_map_looks_up_only_an_unknown_label_in_the_space(monkeypatch):
+    from quantlogic import Space
+    a = counting_space(1000, name="A")
+    asked, index = [], Space.index
+    monkeypatch.setattr(Space, "index", lambda self, point: asked.append(point) or index(self, point))
+    labels = [str(i) for i in reversed(range(1000))]
+    assert point_map(a, a, labels).assignment == tuple(reversed(range(1000)))
+    assert point_map(a, a, range(1000)).assignment == tuple(range(1000))  # read as str
+    assert asked == []
+    with pytest.raises(QuantLogicError) as err:
+        point_map(a, a, labels[:-2] + ["nope", "gone"])
+    assert (err.value.code, err.value.message) == ("UNKNOWN_POINT", "no point 'nope' in space 'A'")
+    assert asked == ["nope"]
+
+
 def test_point_map_stores_its_indices_as_read():
     a = make_space(["x", "y"], [1, 1], name="A")
     f = PointMap(a, a, [True, 0])

@@ -41,8 +41,13 @@ MUL_ALPHABET = [check_mul(a) for a in
 ADD_ALPHABET = [s * a for a in [0.0, 1.0, INF, TINY, 2.2e-310, MIN, MAX, *_RANDOM]
                 for s in (1.0, -1.0)]
 
-BINARY = [(MUL_TABLES[op], MUL_OPS[op], MUL_ALPHABET) for op in OpCode] \
-    + [(ADD_TABLES[op], ADD_OPS[op], ADD_ALPHABET) for op in OpCode] \
+# The six operations are named by carrier and operation, since the additive
+# join and meet are the multiplicative meet and join, functions and tables.
+BINARY = [pytest.param(tables[op], ops[op], alphabet,
+                       id=f"{mode}_{op.value}_table-{mode}_{op.value}-")
+          for mode, tables, ops, alphabet in (("mul", MUL_TABLES, MUL_OPS, MUL_ALPHABET),
+                                              ("add", ADD_TABLES, ADD_OPS, ADD_ALPHABET))
+          for op in OpCode] \
     + [(mul_div_table, mul_div, MUL_ALPHABET), (add_div_table, add_div, ADD_ALPHABET)]
 UNARY = [(mul_dual_table, mul_dual, MUL_ALPHABET), (add_dual_table, add_dual, ADD_ALPHABET),
          (napier_table, napier, MUL_ALPHABET), (napier_inv_table, napier_inv, ADD_ALPHABET)]
