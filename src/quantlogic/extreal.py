@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import add, mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import QuantLogicError
 
@@ -100,8 +100,17 @@ def _check_iterable(xs: Iterable, where: str) -> Iterable:
     return xs
 
 
-def _check_count(xs: Sequence, n: int, where: str) -> Sequence:
-    """xs, if it holds n values (one per point of a space); VALUE_COUNT otherwise."""
+def _check_instance(value, kind: type, what: str):
+    """value, if an instance of kind; INVALID_VALUE otherwise."""
+    if not isinstance(value, kind):
+        raise QuantLogicError("INVALID_VALUE", f"expected {what}, got {value!r}")
+    return value
+
+
+def _check_count(xs: Iterable, n: int, where: str) -> tuple:
+    """xs as a tuple, if it holds n values (one per point of a space);
+    INVALID_VALUE if it cannot be iterated, VALUE_COUNT otherwise."""
+    xs = tuple(_check_iterable(xs, where))
     if len(xs) != n:
         raise QuantLogicError("VALUE_COUNT", f"{where}: {len(xs)} values for {n} points")
     return xs
@@ -124,8 +133,9 @@ def _clean_floats(xs: tuple) -> tuple | None:
 def check_mul_table(xs: Iterable) -> tuple:
     """check_mul on each value, as a tuple.  A table of floats and ints, none
     NaN or below 0, is cleared in a few passes; any other goes value by value,
-    so that the first fault raises as check_mul raises it."""
-    xs = tuple(xs)
+    so that the first fault raises as check_mul raises it; a table that
+    cannot be iterated is INVALID_VALUE."""
+    xs = tuple(_check_iterable(xs, "table"))
     clean = _clean_floats(xs)
     if clean is not None and (not clean or min(clean) >= 0.0):
         return tuple([x or 0.0 for x in clean]) if 0.0 in clean else clean
@@ -134,7 +144,7 @@ def check_mul_table(xs: Iterable) -> tuple:
 
 def check_add_table(xs: Iterable) -> tuple:
     """check_add on each value, as a tuple; cleared as check_mul_table is."""
-    xs = tuple(xs)
+    xs = tuple(_check_iterable(xs, "table"))
     clean = _clean_floats(xs)
     return clean if clean is not None else tuple([check_add(x) for x in xs])
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from .errors import FormulaSyntaxError, QuantLogicError
-from .extreal import (INF, MUL_CONSTANTS, VALUE_LITERAL, OpCode, _check_iterable, _check_tag,
-                      check_add, format_value)
+from .extreal import (INF, MUL_CONSTANTS, VALUE_LITERAL, OpCode, _check_instance, _check_iterable,
+                      _check_tag, check_add, format_value)
 from .environment import Environment
 from .pmeans import ADD, MUL, Polarity, _check_magnitude, carrier
 from .spaces import Space
@@ -154,10 +154,11 @@ def rebuild(f: Formula, kids) -> Formula:
     return f
 
 
-def walk(f: Formula) -> list[tuple[Formula, Binders]]:
-    """Pre-order, left to right: each node with its enclosing binders."""
+def walk(f: Formula, bound: Binders | None = None) -> list[tuple[Formula, Binders]]:
+    """Pre-order, left to right: each node with its enclosing binders (those
+    of ``bound``, if given, outermost)."""
     out: list[tuple[Formula, Binders]] = []
-    stack = [(f, {})]
+    stack = [(f, {} if bound is None else bound)]
     pop, push, emit = stack.pop, stack.append, out.append
     while stack:
         item = pop()
@@ -485,15 +486,17 @@ def check_wellformed(f: Formula, ctx: Context, env) -> Formula:
     return f
 
 
-def _check_walk(walked: list[tuple[Formula, Binders]], ctx: Context, env) -> None:
-    """check_wellformed of the formula whose pre-order walk is ``walked``."""
+def _check_walk(walked: list[tuple[Formula, Binders]], ctx: Context, env) -> list[int]:
+    """check_wellformed of the formula whose pre-order walk is ``walked``;
+    returns the indices of its quantifiers in the walk."""
     if not isinstance(ctx, Context):
         raise QuantLogicError("INVALID_CONTEXT", f"expected a Context, got {ctx!r}")
     if not isinstance(env, Environment):
         raise QuantLogicError("ENV_FORMAT", f"expected an Environment, got {env!r}")
     c = carrier(env.mode)
     outer = {v: s.name for v, s in ctx.entries}
-    for node, bound in walked:
+    quants = []
+    for i, (node, bound) in enumerate(walked):
         if isinstance(node, Const):  # a name that is no constant is no number either
             c.check(c.constants.get(node.value, node.value))
         elif isinstance(node, Scalar):
@@ -531,6 +534,8 @@ def _check_walk(walked: list[tuple[Formula, Binders]], ctx: Context, env) -> Non
             if node.var in outer or node.var in bound:
                 raise QuantLogicError("SHADOWED_VARIABLE",
                                       f"variable {node.var!r} is already bound")
+            quants.append(i)
+    return quants
 
 
 def free_variables(f: Formula) -> tuple[str, ...]:
@@ -543,7 +548,12 @@ def free_variables(f: Formula) -> tuple[str, ...]:
 
 
 def substitute(f: Formula, mapping: dict[str, str]) -> Formula:
-    """Rename free variables; target names must not collide with binders."""
+    """Rename free variables; target names must not collide with binders.  A
+    formula that is no ``Formula``, or a mapping that is no dict, is
+    INVALID_VALUE."""
+    _check_instance(f, Formula, "a Formula")
+    _check_instance(mapping, dict, "a dict of variable names")
+
     def visible(bound: Binders) -> dict[str, str]:
         return {k: v for k, v in mapping.items() if k not in bound}
 

@@ -53,8 +53,8 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import QuantLogicError
 from .extreal import (ADD_CONSTANTS, ADD_TABLES, INF, MUL_CONSTANTS, MUL_TABLES, NAN,
-                      AddReal, MulReal, OpCode, _check_count, _check_iterable, _check_tag,
-                      add_div_table, add_dual_table, add_scalar_table, check_add,
+                      AddReal, MulReal, OpCode, _check_count, _check_instance, _check_iterable,
+                      _check_tag, add_div_table, add_dual_table, add_scalar_table, check_add,
                       check_add_table, check_mul,
                       check_mul_table, exact_float, kahan_sum, mul_div_table,
                       mul_dual_table, mul_pow_table, napier_inv, napier_inv_table,
@@ -105,12 +105,13 @@ class ValueVector:
     values: tuple[MulReal, ...]
 
     def __post_init__(self):
-        values = _check_count(self.values, len(self.space), f"space {self.space.name!r}")
+        space = _check_instance(self.space, Space, "a Space")
+        values = _check_count(self.values, len(space), f"values over {space.name!r}")
         object.__setattr__(self, "values", check_mul_table(values))
 
 
 def value_vector(space: Space, values: Iterable[float]) -> ValueVector:
-    return ValueVector(space, tuple(_check_iterable(values, f"values over {space.name!r}")))
+    return ValueVector(space, values)
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +265,7 @@ def _chunks(aggregate: Callable, n: int, support: Sequence[int],
 
 def p_sum(sp: SignedP, values: Sequence[float]) -> MulReal:
     """Unweighted p-sum of a nonempty list (magnitude 0 is undefined)."""
-    vals = check_mul_table(values)
+    sp, vals = _check_instance(sp, SignedP, "a SignedP"), check_mul_table(values)
     if not vals:
         raise QuantLogicError("EMPTY_LIST", "p_sum of an empty list")
     if sp.magnitude == 0.0:
@@ -279,6 +280,8 @@ def p_mean(sp: SignedP, vv: ValueVector) -> MulReal:
     No normalization happens here: the weights are used as given, so on
     non-probability spaces this is a power *integral* rather than a mean.
     """
+    sp, vv = _check_instance(sp, SignedP, "a SignedP"), _check_instance(vv, ValueVector,
+                                                                         "a ValueVector")
     return MUL.quantifier(sp.polarity, sp.magnitude, vv.space)(vv.values)[0]
 
 
@@ -292,7 +295,7 @@ def add_quantifier(polarity: Polarity, p: float, weights, values) -> AddReal:
     existential, tensor for universal).  p, the weights and the values are
     read as ``_check_magnitude``, ``make_space`` and ``check_add_table`` read them.
     """
-    p, weights = _check_magnitude(p), list(weights)
+    p, weights = _check_magnitude(p), list(_check_iterable(weights, "quantifier weights"))
     values = _check_count(check_add_table(values), len(weights), "quantifier")
     if weights:  # none at all is an empty support, below
         weights = make_space(range(len(weights)), weights, "quantifier").weights

@@ -14,7 +14,7 @@ from operator import index
 from typing import Sequence
 
 from .errors import QuantLogicError
-from .extreal import INF, _check_iterable, check_add, kahan_sum
+from .extreal import INF, _check_instance, _check_iterable, check_add, kahan_sum
 
 # Slack for comparisons between floating-point weight sums.
 _WEIGHT_TOL = 1e-12
@@ -158,6 +158,8 @@ class PointMap:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
+        _check_instance(self.source, Space, "a source Space")
+        _check_instance(self.target, Space, "a target Space")
         assignment = tuple(_check_iterable(self.assignment, "assignment"))
         if len(assignment) != len(self.source):
             raise QuantLogicError("MAP_ARITY",
@@ -199,7 +201,8 @@ class PointMap:
 def point_map(source: Space, target: Space, labels) -> PointMap:
     """Build a PointMap from target point *labels* (one per source point),
     looking each up in one dict of the target's points."""
-    at = {p: i for i, p in enumerate(target.points)}
+    points = _check_instance(target, Space, "a target Space").points
+    at = {p: i for i, p in enumerate(points)}
     labels = map(str, _check_iterable(labels, "point labels"))
     return PointMap(source, target, tuple([at[l] if l in at else target.index(l) for l in labels]))
 
@@ -210,6 +213,8 @@ def identity_map(a: Space) -> PointMap:
 
 def compose(g: PointMap, f: PointMap) -> PointMap:
     """g after f (so f.target must be g.source)."""
+    _check_instance(g, PointMap, "a PointMap")
+    _check_instance(f, PointMap, "a PointMap")
     if f.target is not g.source and f.target != g.source:
         raise QuantLogicError("MAP_MISMATCH",
                               "composition needs f.target == g.source")

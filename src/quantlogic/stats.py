@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .environment import AtomTable, Environment
 from .errors import QuantLogicError
-from .extreal import (INF, AddReal, MulReal, _check_count, check_add, check_mul,
+from .extreal import (INF, AddReal, MulReal, _check_count, _check_instance, check_add, check_mul,
                       mul_div_table, mul_dual, mul_dual_table, napier_table)
 from .formulas import Atom, Context, Div, Formula, Quant
 from .pmeans import (ADD, MUL, Polarity, SignedP, ValueVector, _check_magnitude,
@@ -46,7 +46,8 @@ class Distribution:
 
     def __post_init__(self):
         masses = []  # read one by one: a fault before the first mass above 1 is reported first
-        for m in map(check_mul, _check_count(self.masses, len(self.space), "masses")):
+        space = _check_instance(self.space, Space, "a Space")
+        for m in map(check_mul, _check_count(self.masses, len(space), "masses")):
             if m > 1.0:
                 raise QuantLogicError("NOT_UNITARY", f"mass {m!r} exceeds 1")
             masses.append(m)
@@ -58,7 +59,7 @@ class Distribution:
 
 
 def distribution(space: Space, masses) -> Distribution:
-    return Distribution(space, tuple(masses))
+    return Distribution(space, masses)
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,8 @@ class EnergyFunction:
 
     def __post_init__(self):
         energies = []  # read one by one: a fault before the first -inf is reported first
-        for u in map(check_add, _check_count(self.energies, len(self.space), "energies")):
+        space = _check_instance(self.space, Space, "a Space")
+        for u in map(check_add, _check_count(self.energies, len(space), "energies")):
             if u == -INF:
                 raise QuantLogicError("INVALID_VALUE", "energies must be finite or +inf")
             energies.append(u)
@@ -78,7 +80,7 @@ class EnergyFunction:
 
 
 def energy_function(space: Space, energies) -> EnergyFunction:
-    return EnergyFunction(space, tuple(energies))
+    return EnergyFunction(space, energies)
 
 
 def _universal(mode: str, space: Space, values, p: float, body: Formula,
@@ -106,7 +108,7 @@ def softmax_p(f: ValueVector, p: float) -> tuple[MulReal, ...]:
     formula "A^p (x in X). f(x) -o f(xstar)" evaluated at each xstar.
     """
     p = _check_p(p, positive=True)
-    mean = p_mean(exists_p(p), f)
+    mean = p_mean(exists_p(p), _check_instance(f, ValueVector, "a ValueVector"))
     if mean == 0.0:
         raise QuantLogicError("ZERO_PREDICATE",
                               "softmax of an (essentially) zero vector")
@@ -125,7 +127,10 @@ def log_likelihood(u: EnergyFunction) -> tuple[AddReal, ...]:
     Computed as the additive evaluation of
     ``A^1 (x in X). u(x) -o u(xstar)``, the formula of
     ``softmax_formula_path``, which agrees with -log(softmax_1(e^-u)) pointwise.
+    The evaluator moves the quantifier past ``-o`` (``(E^1_x u(x)) -o
+    u(xstar)``), so it takes O(n) cells, not n².
     """
+    u = _check_instance(u, EnergyFunction, "an EnergyFunction")
     return _universal("add", u.space, u.energies, 1.0, _SOFTMAX, ("xstar",))
 
 
@@ -143,6 +148,7 @@ def renyi_entropy(phi: Distribution, p: float) -> float:
     p = 1 is Shannon entropy, p = 0 the log of the support mass, p = inf
     -log of the essential maximum.
     """
+    phi = _check_instance(phi, Distribution, "a Distribution")
     return escort_quantifier(ADD, _escort(p), phi.space, phi.masses,
                              napier_table(phi.masses))
 
@@ -152,6 +158,7 @@ def hill_diversity(phi: Distribution, p: float) -> MulReal:
     multiplicative reading of the same escort quantifier on phi,
     D_p = 1 / M_(p-1)(phi; w * phi) (Leinster, *Entropy and Diversity*, 2021).
     """
+    phi = _check_instance(phi, Distribution, "a Distribution")
     return mul_dual(escort_quantifier(MUL, _escort(p), phi.space, phi.masses,
                                       phi.masses))
 
@@ -161,9 +168,12 @@ def shannon_entropy(phi: Distribution) -> float:
 
 
 def softmax_formula_path(f: ValueVector, p: float) -> tuple[MulReal, ...]:
-    """The same values through the formula evaluator — a cross-check path:
-    the multiplicative evaluation of ``A^p (x in X). f(x) -o f(xstar)``."""
+    """The same values through the formula evaluator: the multiplicative
+    evaluation of ``A^p (x in X). f(x) -o f(xstar)``.  The evaluator moves the
+    quantifier past ``-o``, so this computes f(xstar) / E^p f in O(n) cells,
+    as ``softmax_p`` does by hand."""
     p = _check_p(p, positive=True)
+    f = _check_instance(f, ValueVector, "a ValueVector")
     return _universal("mul", f.space, f.values, p, _SOFTMAX, ("xstar",))
 
 
@@ -177,6 +187,7 @@ def renyi_formula_path(phi: Distribution, p: float) -> float:
     p = _check_p(p, positive=True)
     if p == 1.0 or p == INF:
         raise QuantLogicError("INVALID_P", "formula path needs p outside {1, inf}")
+    phi = _check_instance(phi, Distribution, "a Distribution")
     logphi = napier_table(mul_dual_table(phi.masses))
     value = _universal("add", phi.space, logphi, p, Atom("a", ("x",)))[0]
     return p / (1.0 - p) * value

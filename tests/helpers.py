@@ -63,6 +63,18 @@ def assert_close(a: float, b: float, tol: float = 1e-9, what: str = ""):
     assert rel_close(a, b, tol), f"{what}: {a!r} != {b!r} (tol {tol})"
 
 
+def law_close(a: float, b: float, mode: str, tol: float = 1e-12) -> bool:
+    """Whether two values of a law's sides agree: exactly where either is a
+    truth corner (0 or inf in MUL, +-inf in ADD), else within tol relative in
+    MUL and tol * max(1, |u|) in ADD, whose values are log coordinates."""
+    if a == b:
+        return True
+    corners = (0.0, INF) if mode == "mul" else (-INF, INF)
+    if a in corners or b in corners:
+        return False
+    return abs(a - b) <= tol * max(1.0 if mode == "add" else 0.0, abs(a), abs(b))
+
+
 def formulas_close(f: Formula, g: Formula, tol: float = 1e-12) -> bool:
     """Structural equality with tolerant numeric literals.
 
@@ -158,6 +170,43 @@ def random_formula(rng: random.Random, depth: int = 4,
     pol = rng.choice((Polarity.EXISTENTIAL, Polarity.UNIVERSAL))
     return Quant(pol, rng.choice(_MAGNITUDES), var, space,
                  random_formula(rng, depth - 1, bound + ((var, space),)))
+
+
+# ---------------------------------------------------------------------------
+# the quantifier pushdown, rule by rule and recursively
+# ---------------------------------------------------------------------------
+
+def ref_pushdown(f: Formula) -> Formula:
+    """f with each quantifier moved by the rules of ``semantics._pushdown``,
+    inner quantifiers first, each as far as the rules go."""
+    f = rebuild(f, [ref_pushdown(kid) for kid in children(f)])
+    return _ref_push(f) if isinstance(f, Quant) else f
+
+
+def _ref_push(q: Quant) -> Formula:
+    body, p, other = q.body, check_add(q.magnitude), {Polarity.EXISTENTIAL: Polarity.UNIVERSAL,
+                                                      Polarity.UNIVERSAL: Polarity.EXISTENTIAL}
+
+    def quant(polarity, p, g):
+        return _ref_push(Quant(polarity, p, q.var, q.space, g))
+
+    def names(g):
+        return any(isinstance(n, Atom) and q.var in n.args for n, _ in walk(g))
+
+    if isinstance(body, Scalar) and body.factor > 0.0 \
+            and (p in (0.0, INF) or 0.0 < body.factor * p < INF):
+        return Scalar(body.factor, quant(q.polarity, body.factor * p, body.body))
+    if isinstance(body, Dual):
+        return Dual(quant(other[q.polarity], p, body.body))
+    binary = isinstance(body, Div) or isinstance(body, BinOp) \
+        and body.op in (OpCode.TENSOR, OpCode.COTENSOR)
+    if binary and p > 0.0:
+        if not names(body.lhs):
+            return rebuild(body, [body.lhs, quant(q.polarity, p, body.rhs)])
+        if not names(body.rhs):
+            flipped = other[q.polarity] if isinstance(body, Div) else q.polarity
+            return rebuild(body, [quant(flipped, p, body.lhs), body.rhs])
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from quantlogic import (
     check_add,
     check_mul,
     check_wellformed,
+    compose,
     counting_space,
     distribution,
     energy_function,
@@ -40,6 +41,7 @@ from quantlogic import (
     forall_p,
     hill_diversity,
     laxity_check,
+    log_likelihood,
     make_environment,
     make_space,
     p_mean,
@@ -54,6 +56,7 @@ from quantlogic import (
     renyi_formula_path,
     softmax_formula_path,
     softmax_p,
+    substitute,
     translate_environment,
     translate_formula,
     transitivity_search,
@@ -233,6 +236,38 @@ def test_a_space_stores_its_weights_as_read():
     (lambda: evaluate(parse("true"), Context(), None), "ENV_FORMAT"),
     (lambda: eval_mul(parse("true"), Context(), None), "ENV_FORMAT"),
     (lambda: check_wellformed(parse("true"), Context(), None), "ENV_FORMAT"),
+    # tables that cannot be iterated
+    (lambda: p_sum(exists_p(1.0), None), "INVALID_VALUE"),
+    (lambda: p_sum(None, [1.0]), "INVALID_VALUE"),
+    (lambda: add_quantifier(Polarity.EXISTENTIAL, 1.0, None, [1.0]), "INVALID_VALUE"),
+    (lambda: add_quantifier(Polarity.EXISTENTIAL, 1.0, [1.0], None), "INVALID_VALUE"),
+    (lambda: distribution(S, None), "INVALID_VALUE"),
+    (lambda: energy_function(S, None), "INVALID_VALUE"),
+    (lambda: ValueVector(S, None), "INVALID_VALUE"),
+    (lambda: pushforward_density(F, None), "INVALID_VALUE"),
+    (lambda: laxity_check(F, None, (1.0, 1.0)), "INVALID_VALUE"),
+    (lambda: adjunction_check(S, S, None, (1.0, 2.0)), "INVALID_VALUE"),
+    # objects of the wrong kind in place of a space, map, vector or mapping
+    (lambda: softmax_p(None, 1.0), "INVALID_VALUE"),
+    (lambda: softmax_formula_path(None, 1.0), "INVALID_VALUE"),
+    (lambda: argmax(None), "INVALID_VALUE"),
+    (lambda: log_likelihood(None), "INVALID_VALUE"),
+    (lambda: renyi_entropy(None, 2.0), "INVALID_VALUE"),
+    (lambda: hill_diversity(None, 2.0), "INVALID_VALUE"),
+    (lambda: renyi_formula_path(None, 2.0), "INVALID_VALUE"),
+    (lambda: p_mean(exists_p(1.0), None), "INVALID_VALUE"),
+    (lambda: p_mean(None, VEC), "INVALID_VALUE"),
+    (lambda: ValueVector(None, (1.0,)), "INVALID_VALUE"),
+    (lambda: value_vector(None, (1.0,)), "INVALID_VALUE"),
+    (lambda: distribution(None, (1.0,)), "INVALID_VALUE"),
+    (lambda: energy_function(None, (1.0,)), "INVALID_VALUE"),
+    (lambda: point_map(S, None, ["a", "b"]), "INVALID_VALUE"),
+    (lambda: point_map(None, S, ["a", "b"]), "INVALID_VALUE"),
+    (lambda: PointMap(S, None, (0, 0)), "INVALID_VALUE"),
+    (lambda: compose(None, F), "INVALID_VALUE"),
+    (lambda: compose(F, None), "INVALID_VALUE"),
+    (lambda: substitute(parse("f(x)"), None), "INVALID_VALUE"),
+    (lambda: substitute(None, {}), "INVALID_VALUE"),
 ])
 def test_containers_and_factors_that_cannot_be_read(make, code):
     with pytest.raises(QuantLogicError) as err:

@@ -14,11 +14,13 @@ import types
 import pytest
 
 from quantlogic import (INF, Context, PointMap, QuantLogicError, ValueVector,
-                        adjunction_check, counting_space, distribution, entailment, entails,
-                        environment_from_dict, evaluate, extreal, laxity_check, make_space,
+                        adjunction_check, counting_space, distribution, energy_function,
+                        entailment, entails, environment_from_dict, evaluate, extreal,
+                        laxity_check, log_likelihood, make_space,
                         normalize, parse, pmeans, pushforward_density, reflexivity_check,
                         reindex_monotonicity_check, renyi_entropy, renyi_formula_path,
-                        semantics, softmax_p, spaces, stats, translate_environment,
+                        semantics, softmax_formula_path, softmax_p, spaces, stats,
+                        translate_environment,
                         translate_formula, transitivity_search, uniform_space)
 from quantlogic.extreal import (ADD_OPS, ADD_TABLES, MUL_OPS, MUL_TABLES, OpCode,
                                 add_div, add_div_table, add_dual, add_dual_table,
@@ -28,7 +30,8 @@ from quantlogic.extreal import (ADD_OPS, ADD_TABLES, MUL_OPS, MUL_TABLES, OpCode
                                 napier_inv_table, napier_table)
 from quantlogic.formulas import Atom, BinOp, Const, Div, Dual, Quant, Scalar, walk
 from quantlogic.pmeans import ADD, MUL
-from helpers import coherence_environment, random_formula, ref_add_quantifier, ref_p_mean
+from helpers import (coherence_environment, law_close, random_formula, ref_add_quantifier,
+                     ref_p_mean)
 
 TINY, MIN, MAX = 5e-324, sys.float_info.min, sys.float_info.max
 _rng = random.Random(7)
@@ -174,6 +177,18 @@ def corner_environment(rng):
     })
 
 
+def assert_matches_the_reference(g, ctx, env, mode):
+    """evaluate(g) is bit for bit the reference table of g as the evaluator
+    folds it, g after the quantifier pushdown; and that reference is g's own
+    within the laws' tolerance, exact at the truth corners."""
+    pushed = semantics._pushdown(g)
+    want = ref_table(pushed, ctx, env, mode)
+    assert hexes(evaluate(g, ctx, env).table) == hexes(want), (mode, g, ctx.names())
+    if pushed is not g:
+        for a, b in zip(ref_table(g, ctx, env, mode), want):
+            assert law_close(a, b, mode), (mode, g, ctx.names(), a, b)
+
+
 @pytest.mark.parametrize("make_env", (coherence_environment, corner_environment))
 def test_evaluator_matches_the_cell_by_cell_reference(make_env):
     rng = random.Random(2024)
@@ -183,8 +198,7 @@ def test_evaluator_matches_the_cell_by_cell_reference(make_env):
         f = random_formula(rng, depth=4)
         env_add, f_add = translate_environment(env), translate_formula(f, "to_add")
         for g, e, mode in ((f, env, "mul"), (f_add, env_add, "add")):
-            got = evaluate(g, ctx, e).table
-            assert hexes(got) == hexes(ref_table(g, ctx, e, mode)), (mode, g)
+            assert_matches_the_reference(g, ctx, e, mode)
 
 
 def factor_environment(rng):
@@ -264,8 +278,7 @@ def test_evaluator_matches_the_reference_over_free_variables():
     for f, ctx, env in factor_formulas():
         for g, e, mode in ((f, env, "mul"),
                            (translate_formula(f, "to_add"), translate_environment(env), "add")):
-            assert hexes(evaluate(g, ctx, e).table) == hexes(ref_table(g, ctx, e, mode)), \
-                (mode, g, ctx.names())
+            assert_matches_the_reference(g, ctx, e, mode)
         seen += 1
     assert seen >= 2 * len(FACTOR_CASES)
 
@@ -300,6 +313,99 @@ def test_each_node_table_spans_its_free_variables(monkeypatch):
                           **{v: e.spaces[s] for v, s in bound.items()}}
                 assert sizes == tuple([len(spaces[v]) for v in names]), node
                 assert len(table) == math.prod(sizes), node
+
+
+# ---------------------------------------------------------------------------
+# quantifier pushdown: cells computed
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cells(monkeypatch):
+    """The cells the evaluator computes, counted so far: the table length of
+    every node but the atoms and constants, whose tables it reads."""
+    count = [0]
+    fold = semantics._fold
+
+    def spy(walked, combine):
+        def record(node, bound, kids):
+            value = combine(node, bound, kids)
+            if kids:
+                count[0] += len(value[2])
+            return value
+        return fold(walked, record)
+
+    monkeypatch.setattr(semantics, "_fold", spy)
+    return count
+
+
+def pushdown_environment(n):
+    rng = random.Random(n)
+    return environment_from_dict({
+        "mode": "mul",
+        "spaces": {"I": {"points": [f"i{i}" for i in range(n)],
+                         "weights": [rng.uniform(0.5, 1.5) for _ in range(n)]}},
+        "atoms": {name: {"context": ["I"] * arity,
+                         "values": [math.exp(rng.uniform(-2, 2)) for _ in range(n ** arity)]}
+                  for name, arity in (("f", 1), ("g", 1), ("r", 2))},
+    })
+
+
+@pytest.mark.parametrize("text, free", [
+    ("E^2 (x in I). E^2 (y in I). f(x) (x) g(y)", False),
+    # eval-bulk's shapes, over each row of x
+    ("A^1 (y in I). 2 . (r(x, y) (x*) f(x))", True),
+    ("E^2 (y in I). 0.5 . (r(y, x)^* (x) g(x))", True),
+    ("A^2 (y in I). r(x, y) -o f(x)", True),
+])
+@pytest.mark.parametrize("mode", ("mul", "add"))
+def test_the_pushdown_computes_at_most_2n_cells(cells, text, free, mode):
+    n = 300
+    env = pushdown_environment(n)
+    f = parse(text)
+    if mode == "add":
+        env, f = translate_environment(env), translate_formula(f, "to_add")
+    ctx = Context((("x", env.spaces["I"]),)) if free else Context(())
+    evaluate(f, ctx, env)
+    assert cells[0] / (n if free else 1) <= 2 * n, cells[0]
+
+
+def test_log_likelihood_and_the_softmax_formula_compute_at_most_2n_cells(cells):
+    n = 2000
+    rng = random.Random(5)
+    space = make_space(range(n), [rng.uniform(0.5, 1.5) for _ in range(n)], name="X")
+    log_likelihood(energy_function(space, [rng.uniform(-5.0, 5.0) for _ in range(n)]))
+    assert cells[0] <= 2 * n
+    cells[0] = 0
+    softmax_formula_path(ValueVector(space, [math.exp(rng.uniform(-5, 5)) for _ in range(n)]),
+                         2.0)
+    assert cells[0] <= 2 * n
+
+
+def test_log_likelihood_is_minus_log_softmax():
+    """At n = 2000, against -log softmax in closed form: u(x) + log of the
+    exactly rounded sum of w e^(-u)."""
+    n = 2000
+    rng = random.Random(6)
+    space = make_space(range(n), [rng.uniform(0.5, 1.5) for _ in range(n)], name="X")
+    u = [rng.uniform(-5.0, 5.0) for _ in range(n)]
+    z = math.log(math.fsum(w * math.exp(-ui) for w, ui in zip(space.weights, u)))
+    for got, ui in zip(log_likelihood(energy_function(space, u)), u):
+        assert abs(got - (ui + z)) <= 1e-12 * max(1.0, abs(ui + z)), (got, ui + z)
+
+
+def test_a_rewritten_formula_reports_the_fault_of_its_own_fold_order():
+    # both spaces have empty support: the fold of the formula as written meets
+    # Z (the left operand) first, the rewritten one meets Y first
+    env = environment_from_dict({
+        "mode": "mul",
+        "spaces": {"Y": {"points": ["a"], "weights": [0]},
+                   "Z": {"points": ["a"], "weights": [0]}},
+        "atoms": {"phi": {"context": ["Y"], "values": [2]}}})
+    f = parse("E^2 (y in Y). phi(y) -o (E^1 (z in Z). one)")
+    assert semantics._pushdown(f) != f
+    with pytest.raises(QuantLogicError) as err:
+        evaluate(f, Context(()), env)
+    assert err.value.code == "EMPTY_SUPPORT" and "'Z'" in err.value.message
 
 
 # ---------------------------------------------------------------------------
