@@ -2,9 +2,10 @@
 
 ``_SUBCOMMANDS`` lists the subcommands (eval, plot-data, softmax, entropy,
 doctrine, translate), each with its help line, the function that adds its
-arguments and the function that runs it.  A call builds only the parser of the
-subcommand it names; ``--help``, no arguments or an unknown command build all
-six.  Either way the usage and help texts are the same.
+arguments and the function that runs it.  A call uses only the parser of the
+subcommand it names; ``--help``, no arguments or an unknown command use the one
+with all six.  Either way the usage and help texts are the same.  Each parser
+is built on the first call that needs it in a process and then reused.
 
 Values (``--p``, ``t=``, the ends of ``--grid``) are read by ``parse_value``,
 and counts and seeds as ASCII-digit integers;
@@ -19,6 +20,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -325,7 +327,7 @@ _SUBCOMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with only the subparser of ``command``, or with all six when
+    """A new parser with only the subparser of ``command``, or with all six when
     ``command`` names no subcommand."""
     parser = _Parser(prog="quantlogic", description="quantitative predicate logic toolkit")
     names = (command,) if command in _SUBCOMMANDS else tuple(_SUBCOMMANDS)
@@ -339,9 +341,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """build_parser(command), built on its first call in a process.  main keys
+    it by a subcommand name or None, so at most seven are built; parse_args
+    leaves a parser unchanged, and each help or usage text is laid out when it
+    is printed (argparse reads COLUMNS then)."""
+    return build_parser(command)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
+    parser = _parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return _SUBCOMMANDS[args.command][2](args)

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from operator import index
 
 from .errors import QuantLogicError
-from .extreal import (INF, MulReal, _check_count, check_mul_table, mul_div_table,
-                      mul_tensor, mul_tensor_table)
+from .extreal import (INF, MulReal, _check_count, _check_instance, check_mul_table,
+                      mul_div_table, mul_tensor, mul_tensor_table)
 from .pmeans import MUL, Polarity, _check_magnitude, kahan_sum, value_vector
 from .spaces import PointMap, Space, make_space, product_space
 
@@ -101,6 +101,8 @@ def adjunction_check(space_i: Space, space_k: Space, rho, psi,
     rhs: entails_{IxK}(rho, psi pulled back along the projection)
     Both spaces must be probability spaces.
     """
+    space_i = _check_instance(space_i, Space, "a Space")
+    space_k = _check_instance(space_k, Space, "a Space")
     if not (space_i.is_probability and space_k.is_probability):
         raise QuantLogicError("NOT_PROBABILITY",
                               "adjunction check needs probability spaces")
@@ -164,6 +166,7 @@ def transitivity_search(space: Space, p: float = 1.0, trials: int = 1000,
     if (trials := _read_integer(trials, "trials")) < 0:
         raise QuantLogicError("INVALID_VALUE", f"trials must be at least 0, got {trials}")
     seed = _read_integer(seed, "seed")
+    space = _check_instance(space, Space, "a Space")
     rng = random.Random(seed)
     lo, hi = math.log(1e-3), math.log(1e3)
 
@@ -188,7 +191,7 @@ def transitivity_search(space: Space, p: float = 1.0, trials: int = 1000,
 def reindex_monotonicity_check(f: PointMap, phi, psi,
                                p: float = 1.0) -> EntailmentReport:
     """Entailment does not decrease when pulled back along a mass-non-increasing map."""
-    if not f.measure_non_increasing:
+    if not _check_instance(f, PointMap, "a PointMap").measure_non_increasing:
         raise QuantLogicError("MAP_NOT_NONINCREASING",
                               "point map increases mass somewhere")
     phi = check_mul_table(phi)
@@ -209,6 +212,7 @@ def pushforward_density(f: PointMap, phi) -> tuple[MulReal, ...]:
     Every point in the image of the map must carry positive target weight;
     points outside the image get density 0.
     """
+    f = _check_instance(f, PointMap, "a PointMap")
     phi = _check_count(check_mul_table(phi), len(f.source), "phi over the source space")
     fibers = f._fibers()
     image = [j for j, fiber in enumerate(fibers) if fiber]

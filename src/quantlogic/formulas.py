@@ -156,9 +156,9 @@ def rebuild(f: Formula, kids) -> Formula:
 
 def walk(f: Formula, bound: Binders | None = None) -> list[tuple[Formula, Binders]]:
     """Pre-order, left to right: each node with its enclosing binders (those
-    of ``bound``, if given, outermost)."""
+    of ``bound``, if given, outermost).  An f that is no Formula is INVALID_VALUE."""
     out: list[tuple[Formula, Binders]] = []
-    stack = [(f, {} if bound is None else bound)]
+    stack = [(_check_instance(f, Formula, "a Formula"), {} if bound is None else bound)]
     pop, push, emit = stack.pop, stack.append, out.append
     while stack:
         item = pop()
@@ -430,9 +430,9 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into a Formula tree."""
+    """Parse concrete syntax into a Formula tree; text that is no str is INVALID_VALUE."""
     try:
-        return _Parser(text).parse()
+        return _Parser(_check_instance(text, str, "formula text")).parse()
     except RecursionError:
         raise FormulaSyntaxError("formula is nested too deeply") from None
 
@@ -551,7 +551,6 @@ def substitute(f: Formula, mapping: dict[str, str]) -> Formula:
     """Rename free variables; target names must not collide with binders.  A
     formula that is no ``Formula``, or a mapping that is no dict, is
     INVALID_VALUE."""
-    _check_instance(f, Formula, "a Formula")
     _check_instance(mapping, dict, "a dict of variable names")
 
     def visible(bound: Binders) -> dict[str, str]:

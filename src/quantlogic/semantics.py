@@ -29,7 +29,7 @@ from heapq import heappop, heappush
 
 from .environment import Environment
 from .errors import QuantLogicError
-from .extreal import INF, NAN, MulReal, check_add
+from .extreal import INF, NAN, MulReal, _check_instance, check_add
 from .formulas import (Atom, Binders, BinOp, Context, Div, Dual, Formula, Quant, Scalar,
                        _check_walk, _fold, rebuild, walk)
 from .pmeans import MUL, Polarity, add_quantifier, carrier  # noqa: F401 (re-export)
@@ -426,6 +426,7 @@ def separator_cast(s: Separator, v: MulReal) -> bool:
 
 def cast_predicate(s: Separator, pred: Predicate) -> tuple[bool, ...]:
     """Pointwise cast; additive tables are cast through napier_inv."""
-    c = carrier(pred.carrier)
+    s = _check_instance(s, Separator, "a Separator")
+    c = carrier(_check_instance(pred, Predicate, "a Predicate").carrier)
     values = pred.table if c is MUL else c.napier_table(pred.table)
     return tuple(separator_cast(s, v) for v in values)

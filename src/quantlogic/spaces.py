@@ -132,6 +132,7 @@ def uniform_space(points, name: str = "S") -> Space:
 
 def product_space(a: Space, b: Space) -> Space:
     """Product with product weights; points in row-major order (a outer)."""
+    a, b = _check_instance(a, Space, "a Space"), _check_instance(b, Space, "a Space")
     points = tuple(f"({p},{q})" for p in a.points for q in b.points)
     weights = tuple(wa * wb for wa in a.weights for wb in b.weights)
     return Space(f"{a.name}x{b.name}", points, weights)
@@ -139,7 +140,7 @@ def product_space(a: Space, b: Space) -> Space:
 
 def normalize(a: Space) -> Space:
     """Rescale weights to total mass 1 (also where the total overflows)."""
-    m, e = a.scaled_mass()
+    m, e = _check_instance(a, Space, "a Space").scaled_mass()
     if m <= 0.0:
         raise QuantLogicError("ZERO_MASS", f"space {a.name!r} has zero total mass")
     return Space(a.name, a.points, tuple(math.ldexp(w, -e) / m for w in a.weights))
@@ -208,7 +209,7 @@ def point_map(source: Space, target: Space, labels) -> PointMap:
 
 
 def identity_map(a: Space) -> PointMap:
-    return PointMap(a, a, tuple(range(len(a))))
+    return PointMap(a, a, tuple(range(len(_check_instance(a, Space, "a Space")))))
 
 
 def compose(g: PointMap, f: PointMap) -> PointMap:

@@ -418,8 +418,11 @@ def test_consecutive_calls_share_no_state(envfile, capsys):
         assert run(capsys, *argv) == before
 
 
+COMMANDS = ("eval", "plot-data", "softmax", "entropy", "doctrine", "translate")
+
+
 def test_usage_and_help_read_as_from_the_whole_tree(envfile, capsys, monkeypatch):
-    # main builds only the named subcommand's parser; every text must be the
+    # main uses only the named subcommand's parser; every text must be the
     # one the parser with all six subcommands prints, in this interpreter
     from quantlogic import cli
 
@@ -431,23 +434,112 @@ def test_usage_and_help_read_as_from_the_whole_tree(envfile, capsys, monkeypatch
         captured = capsys.readouterr()
         return rc, captured.out, captured.err
 
-    commands = ("eval", "plot-data", "softmax", "entropy", "doctrine", "translate")
     bogus = ("eval", "--env", envfile, "x", "--bogus")
     argvs = [(), ("--help",), ("bogus",), bogus,
              ("doctrine", "--env", envfile, "adjunction", "--trials", "0")]
-    argvs += [(cmd, "--help") for cmd in commands] + [(cmd,) for cmd in commands]
+    argvs += [(cmd, "--help") for cmd in COMMANDS] + [(cmd,) for cmd in COMMANDS]
     lazy = {argv: outcome(list(argv)) for argv in argvs}
-    whole = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: whole())
+    # main reads its parsers from cli._parser, which reuses them: replace that,
+    # so that this pass builds the whole tree for every call
+    monkeypatch.setattr(cli, "_parser", lambda command: cli.build_parser())
     assert {argv: outcome(list(argv)) for argv in argvs} == lazy
     usage = "usage: quantlogic [-h] {eval,plot-data,softmax,entropy,doctrine,translate} ..."
     assert lazy[bogus] == (1, "", usage + "\nerror[USAGE]: unrecognized arguments: --bogus\n")
     # argparse names the subcommand argument "command" (a given metavar would rename it)
     assert lazy[()][2].endswith("error[USAGE]: the following arguments are required: command\n")
     assert "error[USAGE]: argument command: invalid choice: 'bogus'" in lazy[("bogus",)][2]
-    for cmd in commands:
+    for cmd in COMMANDS:
         rc, _, err = lazy[(cmd,)]
         assert rc == 1 and "error[USAGE]: the following arguments are required" in err
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The prog of every parser and subparser cli builds from here on, starting
+    with no parser kept."""
+    from quantlogic import cli
+
+    built = []
+
+    class Spy(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Spy)
+    cli._parser.cache_clear()
+    yield built
+    cli._parser.cache_clear()
+
+
+def test_each_parser_is_built_once_per_process(envfile, capsys, parsers_built):
+    calls = [
+        ["eval", "--env", envfile, "one"],
+        ["plot-data", "--env", envfile, "f", "--grid", "1:2:2"],
+        ["softmax", "--env", envfile, "f"],
+        ["entropy", "--env", envfile, "phi"],
+        ["doctrine", "--env", envfile, "reflexivity"],
+        ["translate", "0.5", "--mode", "add"],
+    ]
+    for _ in range(3):
+        assert [run(capsys, *argv)[0] for argv in calls] == [0] * 6
+    # one top-level parser per subcommand, with only that subcommand's subparser
+    assert parsers_built == [p for cmd in COMMANDS for p in ("quantlogic", "quantlogic " + cmd)]
+    del parsers_built[:]
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert run(capsys)[0] == run(capsys, "bogus")[0] == 1
+    for i in range(100):
+        assert run(capsys, f"unknown{i}")[0] == 1
+        assert run(capsys, "--p", str(i))[0] == 1
+    # every other argv shares one parser with all six subcommands
+    assert parsers_built == ["quantlogic"] + ["quantlogic " + cmd for cmd in COMMANDS]
+
+
+def test_help_is_laid_out_at_each_call(capsys, monkeypatch):
+    from quantlogic import cli
+
+    def help_text(parse_args):
+        with pytest.raises(SystemExit):
+            parse_args(["eval", "--help"])
+        return capsys.readouterr().out
+
+    monkeypatch.setenv("COLUMNS", "80")
+    wide = help_text(main)
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = help_text(main)  # from the parser the call at 80 columns used
+    assert narrow == help_text(cli.build_parser("eval").parse_args) != wide
+
+
+def test_shared_parsers_parse_alike_in_threads(envfile):
+    # 4 threads start from no kept parser, so they also race to build them
+    from concurrent.futures import ThreadPoolExecutor
+
+    from quantlogic import cli
+
+    argvs = [
+        ["eval", "--env", envfile, "--mode", "add", "--separator", "t=2", "f(x)"],
+        ["plot-data", "--env", envfile, "f", "I", "--grid", "-1:1:3"],
+        ["softmax", "--env", envfile, "f", "--p", "-inf"],
+        ["entropy", "--env", envfile, "phi", "--p", "2"],
+        ["doctrine", "--env", envfile, "adjunction", "--seed", "-3", "--trials", "7"],
+        ["translate", "-0.5", "--mode", "mul"],
+    ]
+    jobs = [[argvs[(i + j) % len(argvs)] for j in range(50)] for i in range(4)]
+    serial = [[cli.build_parser(argv[0]).parse_args(argv) for argv in job] for job in jobs]
+    cli._parser.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lambda job: [cli._parser(argv[0]).parse_args(argv)
+                                                for argv in job], job) for job in jobs]
+            threaded = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert {ns.command for job in serial for ns in job} == set(COMMANDS)
 
 
 def test_usage_errors_map_to_exit_one(envfile, capsys):

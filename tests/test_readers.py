@@ -25,6 +25,7 @@ from quantlogic import (
     add_quantifier,
     adjunction_check,
     argmax,
+    cast_predicate,
     check_add,
     check_mul,
     check_wellformed,
@@ -39,16 +40,21 @@ from quantlogic import (
     evaluate,
     exists_p,
     forall_p,
+    format_formula,
+    free_variables,
     hill_diversity,
+    identity_map,
     laxity_check,
     log_likelihood,
     make_environment,
     make_space,
+    normalize,
     p_mean,
     p_sum,
     parse,
     point_map,
     principal_separator,
+    product_space,
     pushforward_density,
     reflexivity_check,
     reindex_monotonicity_check,
@@ -61,6 +67,7 @@ from quantlogic import (
     translate_formula,
     transitivity_search,
     uniform_space,
+    unitary_separator,
     value_vector,
 )
 from quantlogic.extreal import add_scalar, add_scalar_table
@@ -268,6 +275,29 @@ def test_a_space_stores_its_weights_as_read():
     (lambda: compose(F, None), "INVALID_VALUE"),
     (lambda: substitute(parse("f(x)"), None), "INVALID_VALUE"),
     (lambda: substitute(None, {}), "INVALID_VALUE"),
+    (lambda: pushforward_density(None, (1.0, 1.0)), "INVALID_VALUE"),
+    (lambda: laxity_check(None, (1.0, 1.0), (1.0, 1.0)), "INVALID_VALUE"),
+    (lambda: reindex_monotonicity_check(None, (1.0, 1.0), (1.0, 1.0)), "INVALID_VALUE"),
+    (lambda: adjunction_check(None, K, (1.0,) * 4, (1.0, 2.0)), "INVALID_VALUE"),
+    (lambda: adjunction_check(S, None, (1.0,) * 4, (1.0, 2.0)), "INVALID_VALUE"),
+    (lambda: transitivity_search(None, 1.0), "INVALID_VALUE"),
+    (lambda: transitivity_search(None, 1.0, trials=0), "INVALID_VALUE"),
+    (lambda: identity_map(None), "INVALID_VALUE"),
+    (lambda: product_space(None, S), "INVALID_VALUE"),
+    (lambda: product_space(S, None), "INVALID_VALUE"),
+    (lambda: normalize(None), "INVALID_VALUE"),
+    (lambda: cast_predicate(unitary_separator(), None), "INVALID_VALUE"),
+    (lambda: cast_predicate(None, eval_mul(F_X, Context((("x", S),)), ENV)), "INVALID_VALUE"),
+    # formulas and formula text of the wrong kind
+    (lambda: translate_formula(None, "to_add"), "INVALID_VALUE"),
+    (lambda: format_formula(None), "INVALID_VALUE"),
+    (lambda: free_variables(None), "INVALID_VALUE"),
+    (lambda: evaluate(None, Context(), ENV), "INVALID_VALUE"),
+    (lambda: eval_mul(None, Context(), ENV), "INVALID_VALUE"),
+    (lambda: eval_add(None, Context(), ENV_ADD), "INVALID_VALUE"),
+    (lambda: check_wellformed(None, Context(), ENV), "INVALID_VALUE"),
+    (lambda: parse(None), "INVALID_VALUE"),
+    (lambda: parse(b"true"), "INVALID_VALUE"),
 ])
 def test_containers_and_factors_that_cannot_be_read(make, code):
     with pytest.raises(QuantLogicError) as err:
