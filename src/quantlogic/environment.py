@@ -26,10 +26,11 @@ values by construction and are not checked again (``translate_environment``).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 from .errors import QuantLogicError
-from .extreal import INF_TOKENS, _check_count, _check_iterable
+from .extreal import INF_TOKENS, _check_count, _check_instance, _check_iterable
 from .pmeans import carrier
 from .spaces import Space, make_space
 
@@ -144,6 +145,7 @@ def environment_from_dict(doc: dict) -> Environment:
 
 
 def environment_to_dict(env: Environment) -> dict:
+    env = _check_instance(env, Environment, "an Environment")
     return {
         "mode": env.mode,
         "spaces": {
@@ -159,9 +161,13 @@ def environment_to_dict(env: Environment) -> dict:
     }
 
 
+# What open() takes as a file name (an int would be a file descriptor).
+_PATH = (str, bytes, os.PathLike)
+
+
 def load_environment(path: str) -> Environment:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(_check_instance(path, _PATH, "a path"), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
         raise QuantLogicError("ENV_IO", f"cannot read {path!r}: {e}") from None
@@ -171,8 +177,9 @@ def load_environment(path: str) -> Environment:
 
 
 def save_environment(env: Environment, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(environment_to_dict(env), fh, indent=2)
+    doc = environment_to_dict(env)  # before the file is opened, and so emptied
+    with open(_check_instance(path, _PATH, "a path"), "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
@@ -182,7 +189,7 @@ def translate_environment(env: Environment) -> Environment:
     The napier maps take carrier values to carrier values, so the translated
     tables are not checked again.
     """
-    c = carrier(env.mode)
+    c = carrier(_check_instance(env, Environment, "an Environment").mode)
     atoms = {name: AtomTable(t.context, tuple(c.napier_table(t.values)))
              for name, t in env.atoms.items()}
     return Environment(c.other, dict(env.spaces), atoms)

@@ -156,7 +156,7 @@ VALUE_LITERAL = re.compile(r"-?inf|-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
 def parse_value(text: str) -> float:
     """Parse a ``VALUE_LITERAL`` with whitespace around: ``inf``, ``-inf`` or an
     ASCII decimal (``Infinity``, ``+1``, ``.5``, ``1_0`` are INVALID_VALUE)."""
-    t = text.strip()
+    t = _check_instance(text, str, "a value literal").strip()
     if VALUE_LITERAL.fullmatch(t) is None:
         raise QuantLogicError("INVALID_VALUE", f"not a value literal: {text!r}")
     return float(t)
@@ -192,7 +192,11 @@ def kahan_sum(xs: Iterable[float]) -> float:
     Infinite terms of one sign give that infinity; mixed-sign infinite terms
     have no sum and raise ValueError, as in ``math.fsum``.
     """
-    xs = list(xs)
+    try:
+        xs = list(xs)
+    except TypeError:  # read only here, off the hot path: an xs that is no sequence
+        _check_iterable(xs, "kahan_sum")
+        raise
     try:
         return math.fsum(xs)
     except OverflowError:  # a partial sum left the double range

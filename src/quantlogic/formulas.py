@@ -154,11 +154,11 @@ def rebuild(f: Formula, kids) -> Formula:
     return f
 
 
-def walk(f: Formula, bound: Binders | None = None) -> list[tuple[Formula, Binders]]:
-    """Pre-order, left to right: each node with its enclosing binders (those
-    of ``bound``, if given, outermost).  An f that is no Formula is INVALID_VALUE."""
+def walk(f: Formula) -> list[tuple[Formula, Binders]]:
+    """Pre-order, left to right: each node with its enclosing binders.  An f
+    that is no Formula is INVALID_VALUE."""
     out: list[tuple[Formula, Binders]] = []
-    stack = [(_check_instance(f, Formula, "a Formula"), {} if bound is None else bound)]
+    stack = [(_check_instance(f, Formula, "a Formula"), {})]
     pop, push, emit = stack.pop, stack.append, out.append
     while stack:
         item = pop()
@@ -182,7 +182,14 @@ def fold(f: Formula, combine: Callable[[Formula, Binders, list], T]) -> T:
 
 def _fold(walked: list[tuple[Formula, Binders]],
           combine: Callable[[Formula, Binders, list], T]) -> T:
-    """fold of the formula whose pre-order walk is ``walked``."""
+    """fold of the formula whose pre-order walk is ``walked``.
+
+    The operands come from the walk order, never from a node's kids.  So a
+    combine that reads only each node's own fields (its type, ``op``,
+    ``factor``, ``polarity``, ``magnitude``, ``var``, ``space``, ``name``,
+    ``args``, ``value``) folds a walk whose kids are stale, as the quantifier
+    pushdown gives (``semantics._pushed_walk``), as the formula it spells.
+    """
     values: list = []
     # the nodes whose children are not all combined yet, innermost last, each
     # with the length values will have when they are

@@ -23,9 +23,7 @@ the corners, and a formula none of them applies to is folded as it stands.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from .environment import Environment
 from .errors import QuantLogicError
@@ -134,9 +132,11 @@ def _pushdown(f: Formula) -> Formula:
     The first two hold at every p in (0, inf] (Frobenius reciprocity: each
     p-mean is homogeneous of degree 1), the last two at every p.  A moved
     quantifier is rewritten again until no rule fires, and the inner
-    quantifiers first, so one pass reaches the fixed point.
+    quantifiers first, so one pass reaches the fixed point.  The tree is the
+    walk ``_pushed_walk`` gives, folded by rebuilding each node over the
+    operands it has there.
     """
-    return _pushed_walk(walk(f))[0][0]
+    return _fold(_pushed_walk(walk(f)), lambda node, _, kids: rebuild(node, kids))
 
 
 def _pushed_walk(walked: list, quants: list | None = None) -> list:
@@ -144,88 +144,57 @@ def _pushed_walk(walked: list, quants: list | None = None) -> list:
     (``walked`` itself where no rule fires), given the indices of its
     quantifiers there, if found already.
 
-    A quantifier can move only if its body (the next node in the walk) is one
-    of the operations the rules move it past, or, once that one has moved, a
-    quantifier that can.  Only the stretch of the walk below each outermost
-    such quantifier is rewritten, and its walk spliced in; the nodes above it
-    are rebuilt, and the rest of the walk is kept as it is.
+    Each quantifier, the last first, moves by moving entries of the walk:
+    past ``^*`` or ``k .``, or into a left operand, it swaps with the node
+    below it; into a right operand it steps over the left one.  Each entry
+    keeps its node and its binders, and only a quantifier that moved gets a
+    new node.  So a node's kids are still those of the formula as written,
+    and the walk is one to fold (``_fold`` takes the operands from the walk
+    order), not to read trees from.  A node a quantifier moved below keeps
+    that quantifier's variable among its binders; no table there spans it,
+    so the variables a table spans come in the same order.
+
+    One scan back records the length of each subformula and the variables its
+    atoms name (a bit each).  A move moves these records with their entries,
+    and a quantifier names no atom, so they stay true and each step is a
+    lookup: the pass is linear in the walk, plus one shift of each entry of
+    a left operand a quantifier steps over.
     """
     if quants is None:
         quants = [i for i, (node, _) in enumerate(walked) if type(node) is Quant]
-    pushed, end, starts = walked, 0, []
-    for q in quants:
-        if q < end or _movable(walked[q + 1][0]) is None:
-            continue
-        start = q
-        while start and type(walked[start - 1][0]) is Quant:  # the quantifier whose body it is
-            start -= 1
-        end = _end(walked, start)
-        g = _rewrite(walked, start, end)
-        if g is not walked[start][0]:
-            pushed = walked[:] if pushed is walked else pushed
-            pushed[start:end] = walk(g, walked[start][1])
-            starts.append(start)
-    if not starts:
+    for first in quants:  # the first quantifier that can move
+        if _movable(walked[first + 1][0]) is not None:
+            break
+    else:
         return walked
-    # Rebuild the nodes above the rewritten stretches in one scan back.  With
-    # R the sum of (operands - 1) over the nodes scanned, a node waiting for
-    # its parent, at c, finds it at the first i < c where R reaches its value
-    # at c, as operand (operands of i - 1) - (R(i) - R(c)).
-    waiting: list[tuple[int, int]] = []  # (R at the node, its index), a heap
-    total = 0
-    for i in range(starts[-1], -1, -1):
-        node, bound = pushed[i]
+    while first and type(walked[first - 1][0]) is Quant:
+        first -= 1
+    bit: dict[str, int] = {}
+    for q in quants:
+        if q >= first:
+            bit.setdefault(walked[q][0].var, 1 << len(bit))
+    # sizes[i]: the length of the subformula at i; names[i]: the bits of the
+    # variables its atoms name
+    sizes, names = [1] * len(walked), [0] * len(walked)
+    for i in range(len(walked) - 1, first - 1, -1):
+        node = walked[i][0]
         n = len(node._kids)
-        total += n - 1
-        rewritten = bool(starts) and starts[-1] == i  # a rewritten stretch starts here
-        if rewritten:
-            starts.pop()
-        kids = None
-        while waiting and waiting[0][0] <= total:  # the operands of i that changed
-            r, c = heappop(waiting)
-            kids = kids or [getattr(node, name) for name in node._kids]
-            kids[n - 1 - (total - r)] = pushed[c][0]
-        if kids:
-            pushed[i] = rebuild(node, kids), bound
-        if kids or rewritten:
-            heappush(waiting, (total, i))
-    return pushed
-
-
-def _end(walked: list, i: int) -> int:
-    """The index in a pre-order walk just past the subformula at index i."""
-    open_ = 1
-    while open_:
-        open_ += len(walked[i][0]._kids) - 1
-        i += 1
-    return i
-
-
-def _rewrite(walked: list, start: int, stop: int) -> Formula:
-    """The subformula at ``start`` of a walk, which ends at ``stop``, with its
-    quantifiers moved, inner ones first.
-
-    The stretch is read from the walk, each node after its operands, and no
-    subformula field is read unless a rule fires.  A rewrite keeps the atoms
-    of each operand, so whether an operand names y is read off the stretch
-    the operand held in the walk; ``built`` maps each node the pass builds to
-    the index of the node it stands for.
-    """
-    # ends[i - start]: the index just past the subformula at i.  at[v]: the
-    # negated indices of the atoms naming v, ascending.
-    ends, at, built = [0] * (stop - start), {}, {}
-
-    def names(i: int, var: str) -> bool:
-        """Whether an atom of the subformula at i names var."""
-        negated = at.get(var, ())
-        k = bisect_right(negated, -ends[i - start])
-        return k < len(negated) and negated[k] <= -i
-
-    def push(q: Quant, i: int, body: Formula) -> Formula:
-        """The quantifier at i over its rewritten body, moved down it."""
-        polarity, p, var, moved = q.polarity, check_add(q.magnitude), q.var, []
-        b = built[id(body)][1] if id(body) in built else i + 1  # the index body stands for
+        if n == 2:
+            j = i + 1 + sizes[i + 1]  # the second operand's index
+            sizes[i], names[i] = sizes[i + 1] + sizes[j] + 1, names[i + 1] | names[j]
+        elif n:
+            sizes[i], names[i] = sizes[i + 1] + 1, names[i + 1]
+        elif type(node) is Atom:
+            for v in node.args:
+                names[i] |= bit.get(v, 0)
+    out = walked
+    for q in reversed(quants):
+        if q < first:
+            break
+        (node, bound), i = walked[q], q
+        polarity, p, y = node.polarity, check_add(node.magnitude), bit[node.var]
         while True:
+            body, right = out[i + 1][0], False
             rule = _movable(body)
             if rule is None or p == 0.0 and not rule:
                 break
@@ -233,53 +202,30 @@ def _rewrite(walked: list, start: int, stop: int) -> Formula:
                 k = check_add(body.factor)
                 if not (k > 0.0 and (p == 0.0 or p == INF or 0.0 < k * p < INF)):
                     break
-                p, k = k * p, 0
+                p = k * p
             elif type(body) is Dual:
-                polarity, k = _OTHER[polarity], 0
-            elif not names(b + 1, var):  # φ on the left: the quantifier enters the right
-                k = 1
-            elif not names(ends[b + 1 - start], var):
-                polarity, k = _OTHER[polarity] if type(body) is Div else polarity, 0
+                polarity = _OTHER[polarity]
+            elif not names[i + 2] & y:  # φ on the left: the quantifier enters the right
+                right = True
+            elif not names[i + 2 + sizes[i + 2]] & y:
+                polarity = _OTHER[polarity] if type(body) is Div else polarity
+                sizes[i + 1], names[i + 1] = sizes[i + 2] + 1, names[i + 2]
             else:
                 break
-            moved.append((body, b, k))
-            body = getattr(body, body._kids[k])
-            b = built[id(body)][1] if id(body) in built else ends[b + 1 - start] if k else b + 1
-        if not moved:  # it stays, over its body as rewritten
-            if body is not walked[i + 1][0]:
-                q = rebuild(q, [body])
-                built[id(q)] = q, i
-            return q
-        out = Quant(polarity, p, var, q.space, body)
-        for node, b, k in reversed(moved):
-            kids = [getattr(node, name) for name in node._kids]
-            kids[k] = out
-            out = rebuild(node, kids)
-            built[id(out)] = out, b
-        return out
-
-    done: list[Formula] = []  # the rewritten operands not yet used, leftmost on top
-    for i in range(stop - 1, start - 1, -1):  # each node after its operands
-        node = walked[i][0]
-        n = len(node._kids)
-        if not n:
-            ends[i - start] = i + 1
-            if type(node) is Atom:
-                for v in node.args:
-                    at.setdefault(v, []).append(-i)
-            done.append(node)
-            continue
-        kids = done[:-n - 1:-1]
-        del done[-n:]
-        j = ends[i + 1 - start]  # the second operand's index, or the node's end
-        ends[i - start] = ends[j - start] if n == 2 else j
-        if type(node) is Quant:
-            node = push(node, i, kids[0])
-        elif kids[0] is not walked[i + 1][0] or n == 2 and kids[1] is not walked[j][0]:
-            node = rebuild(node, kids)
-            built[id(node)] = node, i
-        done.append(node)
-    return done[0]
+            if out is walked:
+                out = walked[:]
+            if right:
+                mid = i + 2 + sizes[i + 2]
+                out[i:mid] = [out[i + 1], *out[i + 2:mid], out[i]]
+                sizes[i + 1:mid] = [*sizes[i + 2:mid], sizes[mid] + 1]
+                names[i + 1:mid] = [*names[i + 2:mid], names[mid]]
+                i = mid - 1
+            else:
+                out[i], out[i + 1] = out[i + 1], out[i]
+                i += 1
+        if i != q:
+            out[i] = Quant(polarity, p, node.var, node.space, node.body), bound
+    return out
 
 
 def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str | None) -> Predicate:
@@ -294,11 +240,11 @@ def _evaluate(f: Formula, ctx: Context, env: Environment, mode: str | None) -> P
     body, so the body's table is one chunk per row; a body that omits the
     variable is widened by it first.
 
-    The walk folded is that of ``_pushdown(f)`` (``_pushed_walk``), taken once
-    f has been checked: f's own walk where no rule fires.  No fault of f's is
-    lost or reordered: the static ones are found on f, and the only one the
-    fold raises, a quantified space of empty support, is raised by folding f
-    itself.
+    The walk folded is ``_pushed_walk``'s, which spells ``_pushdown(f)``,
+    taken once f has been checked: f's own walk where no rule fires.  No
+    fault of f's is lost or reordered: the static ones are found on f, and
+    the only one the fold raises, a quantified space of empty support, is
+    raised by folding f itself.
     """
     if isinstance(env, Environment) and mode not in (None, env.mode):
         raise QuantLogicError("CARRIER_MISMATCH",
@@ -421,7 +367,7 @@ def principal_separator(t: float) -> Separator:
 
 
 def separator_cast(s: Separator, v: MulReal) -> bool:
-    return v >= s.threshold
+    return v >= _check_instance(s, Separator, "a Separator").threshold
 
 
 def cast_predicate(s: Separator, pred: Predicate) -> tuple[bool, ...]:
@@ -429,4 +375,5 @@ def cast_predicate(s: Separator, pred: Predicate) -> tuple[bool, ...]:
     s = _check_instance(s, Separator, "a Separator")
     c = carrier(_check_instance(pred, Predicate, "a Predicate").carrier)
     values = pred.table if c is MUL else c.napier_table(pred.table)
-    return tuple(separator_cast(s, v) for v in values)
+    t = s.threshold
+    return tuple([v >= t for v in values])  # separator_cast of each cell

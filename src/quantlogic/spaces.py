@@ -225,5 +225,5 @@ def compose(g: PointMap, f: PointMap) -> PointMap:
 
 def pushforward_measure(f: PointMap) -> tuple[float, ...]:
     """Fiber-wise sums of source weights, as a measure on the target."""
-    ws = f.source.weights
+    ws = _check_instance(f, PointMap, "a PointMap").source.weights
     return tuple([kahan_sum([ws[i] for i in fiber]) for fiber in f._fibers()])

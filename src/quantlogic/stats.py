@@ -28,7 +28,7 @@ from .extreal import (INF, AddReal, MulReal, _check_count, _check_instance, chec
 from .formulas import Atom, Context, Div, Formula, Quant
 from .pmeans import (ADD, MUL, Polarity, SignedP, ValueVector, _check_magnitude,
                      escort_quantifier, exists_p, kahan_sum, p_mean)
-from .semantics import evaluate, separator_cast, unitary_separator
+from .semantics import evaluate, unitary_separator
 from .spaces import Space
 
 _UNITARY_TOL = 1e-12
@@ -117,8 +117,8 @@ def softmax_p(f: ValueVector, p: float) -> tuple[MulReal, ...]:
 
 def argmax(f: ValueVector) -> tuple[bool, ...]:
     """True exactly where f is at least every support value (via softmax_inf)."""
-    cast = unitary_separator()
-    return tuple(separator_cast(cast, v) for v in softmax_p(f, INF))
+    t = unitary_separator().threshold
+    return tuple([v >= t for v in softmax_p(f, INF)])  # separator_cast of each value
 
 
 def log_likelihood(u: EnergyFunction) -> tuple[AddReal, ...]:

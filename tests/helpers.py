@@ -127,6 +127,21 @@ def coherence_environment(rng: random.Random):
     return environment_from_dict(doc)
 
 
+def corner_environment(rng):
+    """coherence_environment's signature with 0, 1 and inf among the atom values."""
+    env = coherence_environment(rng)
+    corners = (0.0, 1.0, INF)
+    return environment_from_dict({
+        "mode": "mul",
+        "spaces": {name: {"points": list(s.points), "weights": list(s.weights)}
+                   for name, s in env.spaces.items()},
+        "atoms": {name: {"context": list(t.context),
+                         "values": [rng.choice(corners) if rng.random() < 0.3 else v
+                                    for v in t.values]}
+                  for name, t in env.atoms.items()},
+    })
+
+
 _ATOM_SIG = {"phi": ("I",), "psi": ("I",), "rho": ("I", "K")}
 
 

@@ -20,14 +20,17 @@ corner (0 or inf in MUL, +-inf in ADD) must match exactly; any other within
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantlogic import INF, Polarity, make_space, parse, semantics
+from quantlogic import (INF, Context, Polarity, evaluate, make_space, parse, semantics,
+                        translate_environment, translate_formula)
 from quantlogic.extreal import OpCode, napier_table
+from quantlogic.formulas import Atom, BinOp, Quant
 from quantlogic.pmeans import ADD, MUL
-from helpers import law_close, random_formula, ref_pushdown
+from helpers import corner_environment, law_close, random_formula, ref_pushdown
 
 E, A = Polarity.EXISTENTIAL, Polarity.UNIVERSAL
 OTHER = {E: A, A: E}
@@ -198,6 +201,42 @@ def test_the_pushdown_takes_deep_formulas():
     f = parse(" (x) ".join(["(E^2 (y in Y). psi(y)^*)"] + ["phi()"] * 5000))
     g = semantics._pushdown(f)
     assert g == parse(" (x) ".join(["(A^2 (y in Y). psi(y))^*"] + ["phi()"] * 5000))
+    # the pass is linear: a quantifier that enters the left operand 20000
+    # times, and one that enters the right operand 20000 times (built in a
+    # loop: the parser recurses on parentheses); a pass that scans each
+    # operand again takes tens of seconds on either
+    n = 20000
+    links = ["phi()"] * n
+    chains = [(parse("E^2 (y in Y). " + " (x) ".join(["psi(y)"] + links)),
+               parse(" (x) ".join(["(E^2 (y in Y). psi(y))"] + links)))]
+    phi, psi = Atom("phi", ()), Atom("psi", ("y",))
+    f, want = psi, Quant(E, 2.0, "y", "Y", psi)
+    for _ in range(n):
+        f, want = BinOp(OpCode.TENSOR, phi, f), BinOp(OpCode.TENSOR, phi, want)
+    chains.append((Quant(E, 2.0, "y", "Y", f), want))
+    for f, want in chains:
+        start = time.process_time()
+        g = semantics._pushdown(f)
+        assert time.process_time() - start < 2.0
+        assert g == want
+
+
+def test_the_folded_walk_is_the_rewritten_formula_bit_for_bit():
+    """The evaluator folds a walk whose nodes keep the kids of f as written;
+    its table is bit for bit that of the rewritten formula, a fixed point of
+    the pass, whose walk the evaluator folds as it stands."""
+    rng = random.Random(43)
+    rewritten = 0
+    for _ in range(500):
+        env = corner_environment(rng)
+        f = random_formula(rng, depth=5)
+        for g, e in ((f, env), (translate_formula(f, "to_add"), translate_environment(env))):
+            pushed = ref_pushdown(g)
+            assert semantics._pushdown(pushed) is pushed
+            want = evaluate(pushed, Context(), e).table
+            assert [x.hex() for x in evaluate(g, Context(), e).table] == [x.hex() for x in want], g
+            rewritten += pushed is not g
+    assert rewritten > 100
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from quantlogic import (
     energy_function,
     entails,
     environment_from_dict,
+    environment_to_dict,
     eval_add,
     eval_mul,
     evaluate,
@@ -44,7 +45,9 @@ from quantlogic import (
     free_variables,
     hill_diversity,
     identity_map,
+    kahan_sum,
     laxity_check,
+    load_environment,
     log_likelihood,
     make_environment,
     make_space,
@@ -52,14 +55,18 @@ from quantlogic import (
     p_mean,
     p_sum,
     parse,
+    parse_value,
     point_map,
     principal_separator,
     product_space,
     pushforward_density,
+    pushforward_measure,
     reflexivity_check,
     reindex_monotonicity_check,
     renyi_entropy,
     renyi_formula_path,
+    save_environment,
+    separator_cast,
     softmax_formula_path,
     softmax_p,
     substitute,
@@ -298,11 +305,31 @@ def test_a_space_stores_its_weights_as_read():
     (lambda: check_wellformed(None, Context(), ENV), "INVALID_VALUE"),
     (lambda: parse(None), "INVALID_VALUE"),
     (lambda: parse(b"true"), "INVALID_VALUE"),
+    # a value literal, a path, and objects in place of an environment, map,
+    # separator or sequence
+    (lambda: parse_value(None), "INVALID_VALUE"),
+    (lambda: parse_value(b"1"), "INVALID_VALUE"),
+    (lambda: load_environment(None), "INVALID_VALUE"),
+    (lambda: save_environment(ENV, None), "INVALID_VALUE"),
+    (lambda: translate_environment(None), "INVALID_VALUE"),
+    (lambda: environment_to_dict(None), "INVALID_VALUE"),
+    (lambda: pushforward_measure(None), "INVALID_VALUE"),
+    (lambda: separator_cast(None, 1.0), "INVALID_VALUE"),
+    (lambda: kahan_sum(None), "INVALID_VALUE"),
 ])
 def test_containers_and_factors_that_cannot_be_read(make, code):
     with pytest.raises(QuantLogicError) as err:
         make()
     assert err.value.code == code
+
+
+def test_saving_no_environment_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "env.json"
+    save_environment(ENV, str(path))
+    before = path.read_text()
+    with pytest.raises(QuantLogicError) as err:
+        save_environment(None, str(path))
+    assert err.value.code == "INVALID_VALUE" and path.read_text() == before
 
 
 def test_a_space_reads_its_points_as_make_space_does():

@@ -30,8 +30,8 @@ from quantlogic.extreal import (ADD_OPS, ADD_TABLES, MUL_OPS, MUL_TABLES, OpCode
                                 napier_inv_table, napier_table)
 from quantlogic.formulas import Atom, BinOp, Const, Div, Dual, Quant, Scalar, walk
 from quantlogic.pmeans import ADD, MUL
-from helpers import (coherence_environment, law_close, random_formula, ref_add_quantifier,
-                     ref_p_mean)
+from helpers import (coherence_environment, corner_environment, law_close, random_formula,
+                     ref_add_quantifier, ref_p_mean)
 
 TINY, MIN, MAX = 5e-324, sys.float_info.min, sys.float_info.max
 _rng = random.Random(7)
@@ -162,21 +162,6 @@ def ref_table(f, ctx, env, mode):
     return [ref_value(f, dict(zip(names, idx)), env, mode) for idx in itertools.product(*sizes)]
 
 
-def corner_environment(rng):
-    """coherence_environment's signature with 0, 1 and inf among the atom values."""
-    env = coherence_environment(rng)
-    corners = (0.0, 1.0, INF)
-    return environment_from_dict({
-        "mode": "mul",
-        "spaces": {name: {"points": list(s.points), "weights": list(s.weights)}
-                   for name, s in env.spaces.items()},
-        "atoms": {name: {"context": list(t.context),
-                         "values": [rng.choice(corners) if rng.random() < 0.3 else v
-                                    for v in t.values]}
-                  for name, t in env.atoms.items()},
-    })
-
-
 def assert_matches_the_reference(g, ctx, env, mode):
     """evaluate(g) is bit for bit the reference table of g as the evaluator
     folds it, g after the quantifier pushdown; and that reference is g's own
@@ -285,15 +270,20 @@ def test_evaluator_matches_the_reference_over_free_variables():
 
 def test_each_node_table_spans_its_free_variables(monkeypatch):
     """A node's table has one cell per tuple of its free variables, ordered as
-    the context and then the binders, outermost first."""
-    values = []
+    the context and then the binders, outermost first.
+
+    The walk folded is f's after the quantifier pushdown, whose kids may be
+    stale: each node's free variables are read off the node at the same index
+    of the walk of ``_pushdown(f)``, the formula that walk spells."""
+    values, folded = [], []
     fold = semantics._fold
 
     def spy(walked, combine):
-        def record(node, bound, kids):
-            values.append((node, bound, combine(node, bound, kids)))
+        def record(node, at, kids):  # at: the node's index in the walk, and its binders
+            values.append((at[0], at[1], combine(node, at[1], kids)))
             return values[-1][2]
-        return fold(walked, record)
+        folded.append(walked)
+        return fold([(node, (i, bound)) for i, (node, bound) in enumerate(walked)], record)
 
     monkeypatch.setattr(semantics, "_fold", spy)
     rng = random.Random(29)
@@ -303,9 +293,16 @@ def test_each_node_table_spans_its_free_variables(monkeypatch):
         cases.append((random_formula(rng, depth=4), Context(()), env))
     for f, ctx, env in cases:
         for g, e in ((f, env), (translate_formula(f, "to_add"), translate_environment(env))):
+            spelled = semantics._pushdown(g)
             values.clear()
+            folded.clear()
             evaluate(g, ctx, e)
-            for node, bound, (names, sizes, table) in values:
+            (pushed,) = folded
+            assert [(type(node), *[getattr(node, k) for k in node._head()])
+                    for node, _ in pushed] == spelled._shape(), g  # the nodes' own fields
+            spelled = walk(spelled)
+            for i, bound, (names, sizes, table) in values:
+                node = spelled[i][0]
                 order = ctx.names() + tuple(bound)
                 free = free_variables(node)
                 assert names == tuple([v for v in order if v in free]), node
