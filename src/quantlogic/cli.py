@@ -2,10 +2,8 @@
 
 ``_SUBCOMMANDS`` lists the subcommands (eval, plot-data, softmax, entropy,
 doctrine, translate), each with its help line, the function that adds its
-arguments and the function that runs it.  A call uses only the parser of the
-subcommand it names; ``--help``, no arguments or an unknown command use the one
-with all six.  Either way the usage and help texts are the same.  Each parser
-is built on the first call that needs it in a process and then reused.
+arguments and the function that runs it.  One parser with all six is built on
+the first call in a process and then reused.
 
 Values (``--p``, ``t=``, the ends of ``--grid``) are read by ``parse_value``,
 and counts and seeds as ASCII-digit integers;
@@ -326,35 +324,26 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """A new parser with only the subparser of ``command``, or with all six when
-    ``command`` names no subcommand."""
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser with all six subcommands."""
     parser = _Parser(prog="quantlogic", description="quantitative predicate logic toolkit")
-    names = (command,) if command in _SUBCOMMANDS else tuple(_SUBCOMMANDS)
-    # A given metavar renames the argument ("command") in argparse's errors, so only
-    # a parser with one subparser, whose usage line must still list all six, gets one.
-    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_line, add_args, _ = _SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args, _) in _SUBCOMMANDS.items():
         add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
 @functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """build_parser(command), built on its first call in a process.  main keys
-    it by a subcommand name or None, so at most seven are built; parse_args
-    leaves a parser unchanged, and each help or usage text is laid out when it
-    is printed (argparse reads COLUMNS then)."""
-    return build_parser(command)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first call in a process.  parse_args leaves
+    the parser unchanged, and each help or usage text is laid out when it is
+    printed (argparse reads COLUMNS then)."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _SUBCOMMANDS[args.command][2](args)
     except QuantLogicError as exc:
         print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)

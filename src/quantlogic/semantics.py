@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .environment import Environment
 from .errors import QuantLogicError
-from .extreal import INF, NAN, MulReal, _check_instance, check_add
+from .extreal import INF, NAN, MulReal, _check_instance, check_add, check_mul
 from .formulas import (Atom, Binders, BinOp, Context, Div, Dual, Formula, Quant, Scalar,
                        _check_walk, _fold, rebuild, walk)
 from .pmeans import MUL, Polarity, add_quantifier, carrier  # noqa: F401 (re-export)
@@ -367,7 +367,8 @@ def principal_separator(t: float) -> Separator:
 
 
 def separator_cast(s: Separator, v: MulReal) -> bool:
-    return v >= _check_instance(s, Separator, "a Separator").threshold
+    t = _check_instance(s, Separator, "a Separator").threshold
+    return check_mul(v) >= t
 
 
 def cast_predicate(s: Separator, pred: Predicate) -> tuple[bool, ...]:

@@ -422,8 +422,8 @@ COMMANDS = ("eval", "plot-data", "softmax", "entropy", "doctrine", "translate")
 
 
 def test_usage_and_help_read_as_from_the_whole_tree(envfile, capsys, monkeypatch):
-    # main uses only the named subcommand's parser; every text must be the
-    # one the parser with all six subcommands prints, in this interpreter
+    # main reuses one parser for every call; each text must be the one a
+    # parser built afresh for that call prints, in this interpreter
     from quantlogic import cli
 
     def outcome(argv):
@@ -439,13 +439,13 @@ def test_usage_and_help_read_as_from_the_whole_tree(envfile, capsys, monkeypatch
              ("doctrine", "--env", envfile, "adjunction", "--trials", "0")]
     argvs += [(cmd, "--help") for cmd in COMMANDS] + [(cmd,) for cmd in COMMANDS]
     lazy = {argv: outcome(list(argv)) for argv in argvs}
-    # main reads its parsers from cli._parser, which reuses them: replace that,
-    # so that this pass builds the whole tree for every call
-    monkeypatch.setattr(cli, "_parser", lambda command: cli.build_parser())
+    # main reads its parser from cli._parser, which reuses it: replace that,
+    # so that this pass builds a new parser for every call
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert {argv: outcome(list(argv)) for argv in argvs} == lazy
     usage = "usage: quantlogic [-h] {eval,plot-data,softmax,entropy,doctrine,translate} ..."
     assert lazy[bogus] == (1, "", usage + "\nerror[USAGE]: unrecognized arguments: --bogus\n")
-    # argparse names the subcommand argument "command" (a given metavar would rename it)
+    # argparse names the subcommand argument by its dest, "command"
     assert lazy[()][2].endswith("error[USAGE]: the following arguments are required: command\n")
     assert "error[USAGE]: argument command: invalid choice: 'bogus'" in lazy[("bogus",)][2]
     for cmd in COMMANDS:
@@ -481,11 +481,12 @@ def test_each_parser_is_built_once_per_process(envfile, capsys, parsers_built):
         ["doctrine", "--env", envfile, "reflexivity"],
         ["translate", "0.5", "--mode", "add"],
     ]
+    assert run(capsys, *calls[0])[0] == 0
+    # the first call builds the parser with all six subcommands
+    assert parsers_built == ["quantlogic"] + ["quantlogic " + cmd for cmd in COMMANDS]
+    del parsers_built[:]
     for _ in range(3):
         assert [run(capsys, *argv)[0] for argv in calls] == [0] * 6
-    # one top-level parser per subcommand, with only that subcommand's subparser
-    assert parsers_built == [p for cmd in COMMANDS for p in ("quantlogic", "quantlogic " + cmd)]
-    del parsers_built[:]
     for _ in range(2):
         with pytest.raises(SystemExit):
             main(["--help"])
@@ -493,8 +494,8 @@ def test_each_parser_is_built_once_per_process(envfile, capsys, parsers_built):
     for i in range(100):
         assert run(capsys, f"unknown{i}")[0] == 1
         assert run(capsys, "--p", str(i))[0] == 1
-    # every other argv shares one parser with all six subcommands
-    assert parsers_built == ["quantlogic"] + ["quantlogic " + cmd for cmd in COMMANDS]
+    # every later call, whatever its argv, reuses that parser
+    assert parsers_built == []
 
 
 def test_help_is_laid_out_at_each_call(capsys, monkeypatch):
@@ -509,11 +510,11 @@ def test_help_is_laid_out_at_each_call(capsys, monkeypatch):
     wide = help_text(main)
     monkeypatch.setenv("COLUMNS", "40")
     narrow = help_text(main)  # from the parser the call at 80 columns used
-    assert narrow == help_text(cli.build_parser("eval").parse_args) != wide
+    assert narrow == help_text(cli.build_parser().parse_args) != wide
 
 
 def test_shared_parsers_parse_alike_in_threads(envfile):
-    # 4 threads start from no kept parser, so they also race to build them
+    # 4 threads start from no kept parser, so they also race to build it
     from concurrent.futures import ThreadPoolExecutor
 
     from quantlogic import cli
@@ -527,13 +528,13 @@ def test_shared_parsers_parse_alike_in_threads(envfile):
         ["translate", "-0.5", "--mode", "mul"],
     ]
     jobs = [[argvs[(i + j) % len(argvs)] for j in range(50)] for i in range(4)]
-    serial = [[cli.build_parser(argv[0]).parse_args(argv) for argv in job] for job in jobs]
+    serial = [[cli.build_parser().parse_args(argv) for argv in job] for job in jobs]
     cli._parser.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(lambda job: [cli._parser(argv[0]).parse_args(argv)
+            futures = [pool.submit(lambda job: [cli._parser().parse_args(argv)
                                                 for argv in job], job) for job in jobs]
             threaded = [future.result(timeout=60) for future in futures]
     finally:

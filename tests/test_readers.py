@@ -315,6 +315,10 @@ def test_a_space_stores_its_weights_as_read():
     (lambda: environment_to_dict(None), "INVALID_VALUE"),
     (lambda: pushforward_measure(None), "INVALID_VALUE"),
     (lambda: separator_cast(None, 1.0), "INVALID_VALUE"),
+    (lambda: separator_cast(unitary_separator(), None), "INVALID_VALUE"),
+    (lambda: separator_cast(unitary_separator(), "x"), "INVALID_VALUE"),
+    (lambda: separator_cast(unitary_separator(), math.nan), "INVALID_VALUE"),
+    (lambda: separator_cast(unitary_separator(), -1.0), "INVALID_VALUE"),
     (lambda: kahan_sum(None), "INVALID_VALUE"),
 ])
 def test_containers_and_factors_that_cannot_be_read(make, code):
